@@ -79,16 +79,10 @@ def _report_to_dict(r: variations.VariationReport) -> dict:
 
 def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
-    mu = sl1d.mu1(h, args.elements)
-    sg = sl1d.sigma1(h, args.elements)
-    results = {
-        "integral": h.integral(),
-        "mu1": mu.eigenvalue,
-        "sigma1": sg.eigenvalue,
-        "F": mu.eigenvalue * h.integral() / sg.eigenvalue,
-        "mu1_extrapolated": sl1d.mu1_extrapolated(h, args.elements),
-        "sigma1_extrapolated": sl1d.sigma1_extrapolated(h, args.elements),
-    }
+    rec = sl1d.f_record(h, args.elements)
+    results = {k: rec[k] for k in ("integral", "mu1", "sigma1", "F")}
+    results["mu1_extrapolated"] = sl1d.mu1_extrapolated(h, args.elements)
+    results["sigma1_extrapolated"] = sl1d.sigma1_extrapolated(h, args.elements)
     results["F_extrapolated"] = (results["mu1_extrapolated"] * h.integral()
                                  / results["sigma1_extrapolated"])
     if args.oracle:
@@ -154,15 +148,9 @@ def _cmd_fem(args):
     mesh = fem2d.polygon_mesh(poly, args.hmax)
     levels = []
     for _ in range(max(1, args.levels)):
-        system = fem2d.assemble(mesh)
-        mu = fem2d.neumann_mu1(system)
-        sg = fem2d.steklov_sigma1(system)
-        levels.append({
-            "hmax": mesh.hmax(), "dofs": system.n_dofs,
-            "mu1": mu.eigenvalue, "sigma1": sg.eigenvalue,
-            "x": sg.eigenvalue * g.perimeter, "y": mu.eigenvalue * g.area,
-            "F": mu.eigenvalue * g.area / (sg.eigenvalue * g.perimeter),
-        })
+        rec = fem2d.record_from_mesh(mesh, g)
+        levels.append({k: getattr(rec, k)
+                       for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F")})
         if len(levels) < max(1, args.levels):
             mesh = fem2d.refine(mesh)
     results = {"area": g.area, "perimeter": g.perimeter, "levels": levels}

@@ -1,7 +1,9 @@
 """Domain-level spectral functionals and thin-strip sweeps.
 
-``F_of_domain`` ties geometry and spectrum together for one polygon:
-x = sigma1 * perimeter, y = mu1 * area, F = y / x.
+``record_from_mesh`` ties geometry and spectrum together for one meshed
+domain: x = sigma1 * perimeter, y = mu1 * area, F = y / x.  Every domain
+record comes from it: ``F_of_domain`` for a polygon, ``thin_sweep`` for each
+strip, and the refinement levels of ``snlab fem``.
 
 ``thin_sweep`` drives strips eps*(hplus, hminus) through decreasing eps,
 rescales sigma1 by 2/eps, and extrapolates with Aitken's delta-squared, which
@@ -48,9 +50,9 @@ class DomainRecord:
             "mu1", "sigma1", "x", "y", "F", "dofs", "hmax")}
 
 
-def F_of_domain(poly: ConvexPolygon, hmax: float = 0.03) -> DomainRecord:
-    geo = geom2d.functionals(poly)
-    mesh = polygon_mesh(poly, hmax)
+def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
+    """Functional record of a meshed domain with geometry ``geo``: the one
+    path from a mesh to (mu1, sigma1, x, y, F) and their residuals."""
     system = assemble(mesh)
     mu = neumann_mu1(system)
     sg = steklov_sigma1(system)
@@ -65,20 +67,9 @@ def F_of_domain(poly: ConvexPolygon, hmax: float = 0.03) -> DomainRecord:
         warning=mesh.quality_warning)
 
 
-def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals,
-                     warning: str | None = None) -> DomainRecord:
-    """Functional record when the mesh is supplied (structured thin strips)."""
-    system = assemble(mesh)
-    mu = neumann_mu1(system)
-    sg = steklov_sigma1(system)
-    x = sg.eigenvalue * geo.perimeter
-    y = mu.eigenvalue * geo.area
-    return DomainRecord(
-        area=geo.area, perimeter=geo.perimeter, diameter=geo.diameter,
-        width=geo.width, inradius=geo.inradius,
-        mu1=mu.eigenvalue, sigma1=sg.eigenvalue, x=x, y=y, F=y / x,
-        dofs=system.n_dofs, hmax=mesh.hmax(),
-        mu_residual=mu.residual, sigma_residual=sg.residual, warning=warning)
+def F_of_domain(poly: ConvexPolygon, hmax: float = 0.03) -> DomainRecord:
+    geo = geom2d.functionals(poly)
+    return record_from_mesh(polygon_mesh(poly, hmax), geo)
 
 
 def aitken(values) -> float:

@@ -1,14 +1,24 @@
 """Eigenvalue extraction from assembled P2 systems.
 
-Neumann: smallest nonzero eigenvalue of (K, M) by shift-inverted Lanczos with
-a small negative shift, which keeps the factored operator positive definite
-and places the zero mode and the first nontrivial mode nearest the shift.
+Both pencils take one path: the Neumann pencil (K, M) and the Steklov pencil
+(K, B), written (K, W) below, are solved by shift-inverted Lanczos (ARPACK
+mode 3) at a small negative shift s.  K is singular with the constants in its
+kernel and W is positive on constants, so K - sW is positive definite.  It is
+factored once, with an ordering for its symmetric pattern, and the factor is
+ARPACK's inverse operator.  The zero mode and the first nontrivial mode are
+the two eigenvalues nearest the shift; the shift is fixed by the domain's
+length scale L, as -(pi/L)^2 / 2 for mu (units 1/length^2) and -(pi/L) / 2
+for sigma (units 1/length).
 
-Steklov: the pencil (K, B) has boundary-supported B, so interior unknowns are
-eliminated exactly by a Schur complement on the boundary block (the discrete
-harmonic extension).  The reduced dense pencil is symmetric definite and small
-— boundary dofs scale like the square root of the total — and is solved
-directly.  Residuals are always reported against the full pencil.
+B is supported on boundary dofs only, so it is singular: semidefinite, not
+definite.  Shift-invert mode allows that (Lehoucq, Sorensen & Yang, ARPACK
+Users' Guide, 1998): the operator (K - sB)^-1 B maps every vector to the
+discrete harmonic extension of its boundary values, and the infinite
+eigenvalues of the pencil map to 1/(lambda - s) = 0, so the largest-magnitude
+Ritz values are never among them.  No dense boundary block is formed, so
+memory stays proportional to the sparse factor.
+
+Residuals are always reported against the full pencil.
 """
 
 from __future__ import annotations
@@ -16,14 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .assemble import FEMSystem
 
 RESIDUAL_TOL = 1e-9
-_SCHUR_CHUNK = 64
 
 
 class FEMError(RuntimeError):
@@ -47,61 +54,36 @@ def _relative_residual(K, W, lam, vec) -> float:
                  / (np.linalg.norm(kv) + abs(lam) * np.linalg.norm(wv)))
 
 
-def neumann_mu1(system: FEMSystem) -> EigenPair2D:
+def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenPair2D:
+    """Smallest nonzero eigenvalue of (K, W), certified by the zero mode and
+    the full-pencil residual; ``length_power`` is the eigenvalue's dimension
+    in 1/length."""
+    K = system.K
     span = system.nodes.max(axis=0) - system.nodes.min(axis=0)
-    shift = -0.5 * np.pi ** 2 / float(span @ span)
+    shift = -0.5 * (np.pi / float(np.sqrt(span @ span))) ** length_power
     v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
     try:
-        vals, vecs = eigsh(system.K, k=2, M=system.M, sigma=shift, which="LM", v0=v0)
-    except Exception as exc:      # pragma: no cover - ARPACK failure path
-        raise FEMError(f"Neumann eigensolve failed: {exc}") from exc
+        lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        op = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+        vals, vecs = eigsh(K, k=2, M=W, sigma=shift, which="LM", OPinv=op, v0=v0)
+    except RuntimeError as exc:   # singular factor or ARPACK failure
+        raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
-    mu1 = float(vals[1])
-    if mu1 <= 0 or abs(vals[0]) > 1e-6 * mu1:
-        raise FEMError(f"unexpected low spectrum {vals}: zero mode not resolved")
+    lam = float(vals[1])
+    if lam <= 0 or abs(vals[0]) > 1e-6 * lam:
+        raise FEMError(f"unexpected low {kind} spectrum {vals}: zero mode not resolved")
     vec = vecs[:, 1]
-    res = _relative_residual(system.K, system.M, mu1, vec)
+    res = _relative_residual(K, W, lam, vec)
     if res > RESIDUAL_TOL:
-        raise FEMError(f"Neumann residual {res:.2e} above {RESIDUAL_TOL}")
-    return EigenPair2D(eigenvalue=mu1, kind="neumann", dofs=system.n_dofs,
+        raise FEMError(f"{kind} residual {res:.2e} above {RESIDUAL_TOL}")
+    return EigenPair2D(eigenvalue=lam, kind=kind, dofs=system.n_dofs,
                        h_max=system.mesh.hmax(), residual=res, eigenvector=vec)
 
 
+def neumann_mu1(system: FEMSystem) -> EigenPair2D:
+    return _first_nonzero(system, system.M, "neumann", 2)
+
+
 def steklov_sigma1(system: FEMSystem) -> EigenPair2D:
-    n = system.n_dofs
-    bd = system.boundary_dofs
-    mask = np.zeros(n, dtype=bool)
-    mask[bd] = True
-    interior = np.nonzero(~mask)[0]
-
-    K = system.K.tocsc()
-    K_ii = K[interior][:, interior]
-    K_ib = K[interior][:, bd].tocsc()
-    K_bb = K[bd][:, bd].toarray()
-    B_bb = system.B.tocsc()[bd][:, bd].toarray()
-
-    lu = splu(K_ii.tocsc())
-    nb = bd.size
-    S = K_bb.copy()
-    for lo in range(0, nb, _SCHUR_CHUNK):
-        hi = min(lo + _SCHUR_CHUNK, nb)
-        X = lu.solve(K_ib[:, lo:hi].toarray())
-        S[:, lo:hi] -= K_ib.T @ X
-    S = 0.5 * (S + S.T)
-
-    vals, vecs = eigh(S, 0.5 * (B_bb + B_bb.T))
-    if vals.size < 2:
-        raise FEMError("boundary space too small")
-    sigma1 = float(vals[1])
-    if sigma1 <= 0 or abs(vals[0]) > 1e-6 * sigma1:
-        raise FEMError(f"unexpected low Steklov spectrum {vals[:2]}")
-    ub = vecs[:, 1]
-    full = np.zeros(n)
-    full[bd] = ub
-    full[interior] = -lu.solve(K_ib @ ub)
-    res = _relative_residual(system.K, system.B, sigma1, full)
-    if res > RESIDUAL_TOL:
-        raise FEMError(f"Steklov residual {res:.2e} above {RESIDUAL_TOL}")
-    return EigenPair2D(eigenvalue=sigma1, kind="steklov", dofs=n,
-                       h_max=system.mesh.hmax(), residual=res, eigenvector=full)
+    return _first_nonzero(system, system.B, "steklov", 1)
