@@ -1,10 +1,7 @@
 """Bessel functions J0, J1 and the tent-profile eigenvalue equations.
 
-Own evaluation of J0/J1: an alternating power series for small arguments and
-Miller's backward recurrence (normalized by J0 + 2*sum J_{2k} = 1) for large
-ones.  The series is abandoned around x = 4 because its leading terms grow
-like (x/2)^(2k)/(k!)^2 and the alternating cancellation costs about
-that many ulps; the backward recurrence has no such loss.
+J0, J1 and their first zeros come from ``scipy.special`` (Cephes); on the
+test points they agree with mpmath to within 4.4e-16.
 
 The first nonzero eigenvalue of the weighted problems on a tent profile with
 peak at x0 solves a transcendental equation in Bessel functions; the two
@@ -16,75 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from scipy import special
 
-SERIES_CUT = 4.0
 _SCAN_STEP = 0.05
 _SCAN_MAX = 60.0
 
 
-def _series_j0(x: float) -> float:
-    t = 0.25 * x * x
-    term = 1.0
-    acc = 1.0
-    for k in range(1, 60):
-        term *= -t / (k * k)
-        acc += term
-        if abs(term) < 1e-18 * abs(acc) + 1e-300:
-            break
-    return acc
-
-
-def _series_j1(x: float) -> float:
-    t = 0.25 * x * x
-    term = 0.5 * x
-    acc = term
-    for k in range(1, 60):
-        term *= -t / (k * (k + 1))
-        acc += term
-        if abs(term) < 1e-18 * abs(acc) + 1e-300:
-            break
-    return acc
-
-
-def _miller_j0_j1(x: float) -> tuple[float, float]:
-    """J0 and J1 by backward recurrence with even-order normalization."""
-    n_start = int(x + 12.0 * max(x, 1.0) ** (1.0 / 3.0) + 24)
-    if n_start % 2:
-        n_start += 1
-    jp = 0.0
-    j = 1e-280
-    norm = 0.0
-    for n in range(n_start, 0, -1):
-        jm = (2.0 * n / x) * j - jp
-        jp = j
-        j = jm
-        if n % 2 == 0:
-            norm += 2.0 * jp
-        if abs(j) > 1e260:
-            j *= 1e-260
-            jp *= 1e-260
-            norm *= 1e-260
-    # after the n = 1 step the pair is (J0, J1)
-    j0, j1 = j, jp
-    norm += j0
-    return j0 / norm, j1 / norm
-
-
 def besselj0(x: float) -> float:
-    x = abs(float(x))
-    if x < SERIES_CUT:
-        return _series_j0(x)
-    return _miller_j0_j1(x)[0]
+    return float(special.j0(x))
 
 
 def besselj1(x: float) -> float:
-    xs = float(x)
-    sign = -1.0 if xs < 0 else 1.0
-    x = abs(xs)
-    if x < SERIES_CUT:
-        return sign * _series_j1(x)
-    return sign * _miller_j0_j1(x)[1]
+    return float(special.j1(x))
 
 
 def besselj0_prime(x: float) -> float:
@@ -92,11 +32,7 @@ def besselj0_prime(x: float) -> float:
 
 
 def besselj1_prime(x: float) -> float:
-    x = float(x)
-    if abs(x) < 1e-8:
-        # J1'(x) = 1/2 - 3x^2/16 + O(x^4)
-        return 0.5 - 3.0 * x * x / 16.0
-    return besselj0(x) - besselj1(x) / x
+    return float(special.jvp(1, x))
 
 
 def _bisect(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> float:
@@ -122,36 +58,14 @@ def _bisect(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -
     return 0.5 * (lo + hi)
 
 
-def _first_zero(f, start: float, step: float = _SCAN_STEP) -> float:
-    """Smallest root of f above ``start`` located by scan plus bisection."""
-    a = start
-    fa = f(a)
-    while a < _SCAN_MAX:
-        b = a + step
-        fb = f(b)
-        if fa == 0.0:
-            return a
-        if fa * fb < 0:
-            return _bisect(f, a, b)
-        a, fa = b, fb
-    raise ValueError("no sign change found during scan")
-
-
-_CACHE: dict[str, float] = {}
-
-
 def j0_first_zero() -> float:
     """First positive zero of J0 (about 2.404826)."""
-    if "j01" not in _CACHE:
-        _CACHE["j01"] = _first_zero(besselj0, 2.0)
-    return _CACHE["j01"]
+    return float(special.jn_zeros(0, 1)[0])
 
 
 def j1prime_first_zero() -> float:
     """First positive zero of J1' (about 1.841184)."""
-    if "j11p" not in _CACHE:
-        _CACHE["j11p"] = _first_zero(besselj1_prime, 1.0)
-    return _CACHE["j11p"]
+    return float(special.jnp_zeros(1, 1)[0])
 
 
 @dataclass(frozen=True)

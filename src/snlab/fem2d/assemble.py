@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh
+from .mesh import TriangleMesh, _edge_table
 
 _S15 = np.sqrt(15.0)
 _QA = (6.0 - _S15) / 21.0
@@ -79,19 +79,16 @@ class FEMSystem:
 
 def _p2_connectivity(mesh: TriangleMesh):
     t = mesh.triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    mid_idx = inverse.reshape(3, -1).T + mesh.n_nodes
-    tri6 = np.concatenate([t, mid_idx], axis=1)
+    n = mesh.n_nodes
+    edges, uniq, inverse, first, counts = _edge_table(t, n)
+    tri6 = np.concatenate([t, inverse.reshape(3, -1).T + n], axis=1)
     midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     nodes = np.concatenate([mesh.nodes, midpoints])
 
-    bedges = mesh.boundary_edges()
-    # recover the midpoint dof of each boundary edge through the unique-edge table
-    order = {tuple(e): i for i, e in enumerate(map(tuple, uniq))}
-    bmid = np.array([order[tuple(e)] for e in map(tuple, np.sort(bedges, axis=1))])
-    btriples = np.stack([bedges[:, 0], bedges[:, 1], bmid + mesh.n_nodes], axis=1)
+    # boundary edges are the single-owner rows of the table; a row's index is its midpoint dof
+    bmid = np.flatnonzero(counts == 1)
+    bedges = edges[first[bmid]]
+    btriples = np.stack([bedges[:, 0], bedges[:, 1], bmid + n], axis=1)
     return nodes, tri6, btriples
 
 

@@ -4,7 +4,11 @@ General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
 Delaunay triangulation, and a few rounds of Laplacian smoothing (with
 re-triangulation, so no element can invert).  Convexity makes Delaunay exact:
-the triangulated hull of the point set is the polygon itself.
+the triangulated hull of the point set is the polygon itself.  Smoothing is a
+sparse product with the Delaunay adjacency matrix, and every edge question
+(boundary edges, refinement midpoints, sliver repair, P2 connectivity) is
+answered by one table of unique edges keyed by int64 ``lo * n + hi``.  The
+only Python loop left is sliver repair's walk over the boundary chords.
 
 Meshing happens in a canonical frame (centroid at the origin, unit area,
 longest edge aligned with the x-axis) and is mapped back, so congruent or
@@ -15,7 +19,12 @@ accuracy.
 Thin strips between two profile graphs get a structured anisotropic mesh:
 marching columns in x (graded by the local thickness, so degenerate tips are
 approached gracefully) with a fixed small number of cross layers.  Columns of
-zero thickness collapse to a single node and are connected by fans.
+zero thickness collapse to a single node and are connected by fans.  Node
+columns and column-pair triangles are built as whole arrays.
+
+Mesh sizes (``hmax``, ``eps``, ``dx0``, ``dx_min``) must be finite and
+positive; anything else, and any empty or non-finite mesh, raises
+``MeshError``.
 """
 
 from __future__ import annotations
@@ -23,12 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import Delaunay
 
 from ..geom2d import ConvexPolygon
 from ..profiles import ProfileH
 
 QUALITY_FLOOR_DEG = 20.0
+# a mesh angle this far below min(floor, sharpest polygon corner) is the mesher's fault
+QUALITY_MARGIN_DEG = 1.0
 
 
 class MeshError(RuntimeError):
@@ -48,6 +60,10 @@ class TriangleMesh:
         tris = np.asarray(self.triangles, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2 or tris.ndim != 2 or tris.shape[1] != 3:
             raise MeshError("nodes must be (n, 2) and triangles (m, 3)")
+        if tris.shape[0] == 0:
+            raise MeshError("mesh has no triangles")
+        if not np.all(np.isfinite(nodes)):
+            raise MeshError("non-finite node coordinates")
         if tris.min() < 0 or tris.max() >= nodes.shape[0]:
             raise MeshError("triangle index out of range")
         if np.any(_signed_areas(nodes, tris) <= 0):
@@ -73,24 +89,46 @@ class TriangleMesh:
 
     def min_angle_deg(self) -> float:
         v = self.nodes[self.triangles]
-        angles = []
-        for i in range(3):
-            a = v[:, (i + 1) % 3] - v[:, i]
-            b = v[:, (i + 2) % 3] - v[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.degrees(np.min(angles)))
+        return min(_min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
+                   for i in range(3))
 
     def boundary_edges(self) -> np.ndarray:
         """Edges on exactly one triangle, oriented with the domain on the left."""
-        t = self.triangles
-        edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = np.sort(edges, axis=1)
-        _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-        if counts.max() > 2:
-            raise MeshError("non-manifold edge")
+        edges, _, _, first, counts = _edge_table(self.triangles, self.n_nodes)
         return edges[first[counts == 1]]
+
+
+def _edge_table(tris: np.ndarray, n_nodes: int):
+    """Unique undirected edges of a triangulation.
+
+    Directed edges are listed edge-major: row ``k * T + t`` runs from corner k
+    of triangle t to corner k + 1.  Each is keyed by the int64 ``lo * n_nodes
+    + hi``, whose order is the lexicographic order of (lo, hi).  Returns
+    ``(edges, uniq, inverse, first, counts)``: the directed edges, the sorted
+    unique (lo, hi) pairs, the unique-edge index of every directed edge, the
+    row of each unique edge's first occurrence, and its number of triangles.
+    """
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    key = edges.min(axis=1).astype(np.int64) * n_nodes + edges.max(axis=1)
+    ukey, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    if counts.max() > 2:
+        raise MeshError("non-manifold edge")
+    uniq = np.stack(np.divmod(ukey, n_nodes), axis=1)
+    return edges, uniq, inverse, first, counts
+
+
+def _min_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest angle, in degrees, between paired rows of ``a`` and ``b``."""
+    cosang = np.einsum("ij,ij->i", a, b) / (
+        np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)).min()))
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise MeshError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -150,14 +188,24 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
 
 
 def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laplacian smoothing: every point after the first ``n_fixed`` that has
+    Delaunay neighbours moves to their mean; re-triangulate after each round.
+
+    The neighbour sums are one product with the sparse adjacency matrix.  CSR
+    rows are summed in ``indptr`` order, the order in which ``np.mean`` over
+    the neighbour rows adds them, so the result equals the per-vertex mean
+    bit for bit (``np.add.reduceat`` does not).
+    """
+    n = points.shape[0]
     tri = Delaunay(points)
     for _ in range(rounds):
         indptr, indices = tri.vertex_neighbor_vertices
+        adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        degree = np.diff(indptr)
+        move = degree > 0
+        move[:n_fixed] = False
         new = points.copy()
-        for v in range(n_fixed, points.shape[0]):
-            nb = indices[indptr[v]:indptr[v + 1]]
-            if nb.size:
-                new[v] = points[nb].mean(axis=0)
+        new[move] = (adj @ points)[move] / degree[move, None]
         points = new
         tri = Delaunay(points)
     return points, tri.simplices
@@ -174,6 +222,11 @@ def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     points on it are collected and the (unique) positive triangle behind the
     chord is fanned through them, which restores a conforming triangulation
     that uses every input point.
+
+    Boundary chords are the single-owner rows of the edge table.  They are
+    visited in order of their position in the triangle list (triangle by
+    triangle, corner by corner), so when a triangle backs two chords the same
+    one is fanned first whatever order the table sorts them in.
     """
     span = pts.max(axis=0) - pts.min(axis=0)
     scale = float(np.hypot(*span))
@@ -191,16 +244,14 @@ def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     # a triangle owns at most one fan per pass; a corner triangle facing two
     # caps is split along one chord now and the other on the next pass
     for _ in range(5):
-        edge_owner: dict = {}
-        for ti, t in enumerate(work):
-            for k in range(3):
-                a, b = t[k], t[(k + 1) % 3]
-                edge_owner.setdefault((min(a, b), max(a, b)), []).append(
-                    (ti, int(t[(k + 2) % 3])))
+        _, uniq, _, first, counts = _edge_table(work, len(pts))
+        chords = np.flatnonzero(counts == 1)
+        corner, owner = np.divmod(first[chords], len(work))
+        order = np.argsort(3 * owner + corner)
         replaced: set = set()
         fans = []
-        for (a, b), owners in edge_owner.items():
-            if len(owners) != 1 or owners[0][0] in replaced:
+        for (a, b), ti, k in zip(uniq[chords[order]], owner[order], corner[order]):
+            if ti in replaced:
                 continue
             cand = candidates[(candidates != a) & (candidates != b)]
             if cand.size == 0:
@@ -215,14 +266,15 @@ def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
                 & (t_par > 0.0) & (t_par < 1.0)
             if not inside.any():
                 continue
-            ti, z = owners[0]
+            z = work[ti, (k + 2) % 3]
             replaced.add(ti)
             chain = [a, *cand[inside][np.argsort(t_par[inside])], b]
             fans += [(chain[k], chain[k + 1], z) for k in range(len(chain) - 1)]
         if not fans:
             break
-        work = np.array([tuple(t) for ti, t in enumerate(work)
-                         if ti not in replaced] + fans, dtype=tris.dtype)
+        keep = np.ones(len(work), dtype=bool)
+        keep[list(replaced)] = False
+        work = np.concatenate([work[keep], np.array(fans, dtype=tris.dtype)])
 
     out = _orient_ccw(pts, work)
     if np.unique(out).size != len(pts):
@@ -236,10 +288,12 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float, smooth_rounds: int = 4) -> Tr
     """Isotropic mesh of a convex polygon with target element size ``hmax``.
 
     The achieved maximum edge (see ``TriangleMesh.hmax``) tracks the target to
-    within about 25%; uniform :func:`refine` halves it exactly.
+    within about 25%; uniform :func:`refine` halves it exactly.  A quality
+    warning is set only when the mesh's smallest angle falls more than
+    ``QUALITY_MARGIN_DEG`` below both the floor and the polygon's sharpest
+    corner, which no mesh of the polygon can beat.
     """
-    if hmax <= 0:
-        raise MeshError("hmax must be positive")
+    _require_positive(hmax=hmax)
     v = poly.vertices
     # canonical frame: area centroid -> origin, unit area, longest edge along x
     x, y = v[:, 0], v[:, 1]
@@ -271,19 +325,20 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float, smooth_rounds: int = 4) -> Tr
     nodes = pts @ rot * scale + [cx, cy]
     mesh = TriangleMesh(nodes, tris)
     ang = mesh.min_angle_deg()
-    if ang < QUALITY_FLOOR_DEG:
+    corner = _min_angle_deg(np.roll(v, -1, axis=0) - v, np.roll(v, 1, axis=0) - v)
+    if ang < min(QUALITY_FLOOR_DEG, corner) - QUALITY_MARGIN_DEG:
         mesh = TriangleMesh(nodes, tris,
-                            quality_warning=f"min angle {ang:.2f} deg below "
-                                            f"{QUALITY_FLOOR_DEG} deg floor")
+                            quality_warning=f"min angle {ang:.2f} deg more than "
+                                            f"{QUALITY_MARGIN_DEG} deg below both the "
+                                            f"{QUALITY_FLOOR_DEG} deg floor and the "
+                                            f"polygon's smallest corner {corner:.2f} deg")
     return mesh
 
 
 def refine(mesh: TriangleMesh) -> TriangleMesh:
     """Uniform 1-to-4 refinement; midpoints of straight boundary edges stay on them."""
     t = mesh.triangles
-    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
+    _, uniq, inverse, _, _ = _edge_table(t, mesh.n_nodes)
     mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
     m = inverse.reshape(3, -1).T + mesh.n_nodes      # columns: m01, m12, m20
     nodes = np.concatenate([mesh.nodes, mid])
@@ -321,44 +376,36 @@ def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float,
     across the strip, and slab-aligned elements keep the degree-of-freedom
     count bounded as eps -> 0.  The isotropic quality floor does not apply.
     """
-    if eps <= 0:
-        raise MeshError("eps must be positive")
     if dx_min is None:
         dx_min = dx0 / 8.0
+    _require_positive(eps=eps, dx0=dx0, dx_min=dx_min)
+    if not (float(layers).is_integer() and layers >= 1):
+        raise MeshError(f"layers must be an integer >= 1, got {layers!r}")
     xs = _thin_columns(hplus, hminus, dx0, dx_min)
     top = eps * hplus(xs)
     bot = -eps * hminus(xs)
     thick = top - bot
     tiny = 1e-13 * eps * max(thick.max(), 1.0)
 
-    nodes: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    for x, yb, yt, t in zip(xs, bot, top, thick):
-        start = sum(c.size for c in cols)
-        if t <= tiny:
-            idx = np.array([start])
-            nodes.append(np.array([[x, 0.5 * (yb + yt)]]))
-        else:
-            idx = np.arange(start, start + layers + 1)
-            nodes.append(np.stack([np.full(layers + 1, x),
-                                   np.linspace(yb, yt, layers + 1)], axis=1))
-        cols.append(idx)
-    allnodes = np.concatenate(nodes)
+    # a column is layers + 1 nodes bottom to top, or one node where it has no thickness
+    full = thick > tiny
+    if np.any(~full[:-1] & ~full[1:]):
+        raise MeshError("two adjacent degenerate columns; decrease dx_min")
+    size = np.where(full, layers + 1, 1)
+    start = np.concatenate([[0], np.cumsum(size)[:-1]])
+    nodes = np.empty((int(size.sum()), 2))
+    nodes[:, 0] = np.repeat(xs, size)
+    nodes[start[~full], 1] = 0.5 * (bot[~full] + top[~full])
+    nodes[start[full, None] + np.arange(layers + 1), 1] = np.linspace(
+        bot[full], top[full], layers + 1, axis=1)
 
-    tris = []
-    for left, right in zip(cols[:-1], cols[1:]):
-        if left.size == 1 and right.size == 1:
-            raise MeshError("two adjacent degenerate columns; decrease dx_min")
-        if left.size == 1:
-            a = left[0]
-            for j in range(right.size - 1):
-                tris.append((a, right[j], right[j + 1]))
-        elif right.size == 1:
-            b = right[0]
-            for j in range(left.size - 1):
-                tris.append((left[j], b, left[j + 1]))
-        else:
-            for j in range(layers):
-                tris.append((left[j], right[j], right[j + 1]))
-                tris.append((left[j], right[j + 1], left[j + 1]))
-    return TriangleMesh(allnodes, _orient_ccw(allnodes, np.array(tris, dtype=np.int64)))
+    # each column pair is split into layers quads of two triangles; beside a
+    # degenerate column one of the two is flat and dropped, leaving a fan
+    j = np.arange(layers)
+    lf, rf = full[:-1, None], full[1:, None]
+    l0, l1 = start[:-1, None] + lf * j, start[:-1, None] + lf * (j + 1)
+    r0, r1 = start[1:, None] + rf * j, start[1:, None] + rf * (j + 1)
+    quads = np.stack([np.stack([l0, r0, r1], axis=-1),
+                      np.stack([l0, r1, l1], axis=-1)], axis=2)
+    keep = np.broadcast_to(np.stack([rf, lf], axis=-1), quads.shape[:3])
+    return TriangleMesh(nodes, _orient_ccw(nodes, quads[keep]))

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from snlab import geom2d, profiles
+from snlab import diagram, geom2d, profiles
+from snlab.fem2d import mesh as mesh_mod
 from snlab.fem2d import polygon_mesh, refine, thin_mesh
+from snlab.fem2d.assemble import _p2_connectivity
 from snlab.fem2d.mesh import MeshError, QUALITY_FLOOR_DEG, TriangleMesh
 
 
@@ -117,3 +119,222 @@ def test_thin_mesh_snaps_to_profile_knots():
     half = profiles.scale(profiles.triangular(0.3), 0.5)
     mesh = thin_mesh(half, half, 0.1, dx0=0.07)
     assert np.any(np.isclose(mesh.nodes[:, 0], 0.3, atol=1e-12))
+
+
+HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, float("nan")),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx_min=0.0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=0),
+    lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),
+    lambda: polygon_mesh(geom2d.resolve("square"), math.inf),
+    lambda: polygon_mesh(geom2d.resolve("square"), 0.0),
+    lambda: TriangleMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int)),
+    lambda: TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
+                         np.array([[0, 1, 2]])),
+], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx_min-zero", "layers-zero",
+        "hmax-nan", "hmax-inf", "hmax-zero", "no-triangles", "nan-node"])
+def test_degenerate_inputs_raise_mesh_error(make):
+    with pytest.raises(MeshError):
+        make()
+
+
+def test_quality_warnings_point_at_the_mesher():
+    """A warning needs a 1-degree loss below min(floor, sharpest corner), so a
+    mesh that only inherits a sharp polygon corner does not warn."""
+    warned = {}
+    for family in ("randomTriangle", "randomQuadrilateral", "collapsingTent"):
+        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+            mesh = polygon_mesh(geom2d.ConvexPolygon(s.vertices), s.hmax)
+            if mesh.quality_warning is not None:
+                warned[s.id] = mesh.quality_warning
+    assert sorted(warned) == ["collapsingTent-0009", "randomTriangle-0011"]
+    assert "17.01" in warned["collapsingTent-0009"] and "18.80" in warned["collapsingTent-0009"]
+    assert "18.25" in warned["randomTriangle-0011"] and "20.47" in warned["randomTriangle-0011"]
+
+
+# --- loop references for the array routes: results must be bit-identical ---
+
+def _smooth_by_vertex_loop(points, n_fixed, rounds):
+    tri = mesh_mod.Delaunay(points)
+    for _ in range(rounds):
+        indptr, indices = tri.vertex_neighbor_vertices
+        new = points.copy()
+        for v in range(n_fixed, points.shape[0]):
+            nb = indices[indptr[v]:indptr[v + 1]]
+            if nb.size:
+                new[v] = points[nb].mean(axis=0)
+        points = new
+        tri = mesh_mod.Delaunay(points)
+    return points, tri.simplices
+
+
+def _repair_slivers_by_edge_dict(pts, tris):
+    span = pts.max(axis=0) - pts.min(axis=0)
+    scale = float(np.hypot(*span))
+    tol = 1e-10 * scale * scale
+    bad = np.abs(mesh_mod._signed_areas(pts, tris)) <= tol
+    if not bad.any():
+        return tris
+    work = tris[~bad]
+    candidates = np.union1d(np.unique(tris[bad]),
+                            np.setdiff1d(np.arange(len(pts)), np.unique(tris)))
+    for _ in range(5):
+        edge_owner: dict = {}
+        for ti, t in enumerate(work):
+            for k in range(3):
+                a, b = t[k], t[(k + 1) % 3]
+                edge_owner.setdefault((min(a, b), max(a, b)), []).append(
+                    (ti, int(t[(k + 2) % 3])))
+        replaced: set = set()
+        fans = []
+        for (a, b), owners in edge_owner.items():
+            if len(owners) != 1 or owners[0][0] in replaced:
+                continue
+            cand = candidates[(candidates != a) & (candidates != b)]
+            if cand.size == 0:
+                continue
+            A, B = pts[a], pts[b]
+            ab = B - A
+            length = float(np.hypot(*ab))
+            d = pts[cand] - A
+            off_line = np.abs(d[:, 0] * ab[1] - d[:, 1] * ab[0])
+            t_par = (d @ ab) / (length * length)
+            inside = (off_line <= 1e-12 * scale * length) \
+                & (t_par > 0.0) & (t_par < 1.0)
+            if not inside.any():
+                continue
+            ti, z = owners[0]
+            replaced.add(ti)
+            chain = [a, *cand[inside][np.argsort(t_par[inside])], b]
+            fans += [(chain[k], chain[k + 1], z) for k in range(len(chain) - 1)]
+        if not fans:
+            break
+        work = np.array([tuple(t) for ti, t in enumerate(work)
+                         if ti not in replaced] + fans, dtype=tris.dtype)
+    return mesh_mod._orient_ccw(pts, work)
+
+
+def _p2_connectivity_by_dict(mesh):
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    uniq, inverse = np.unique(np.sort(edges, axis=1), axis=0, return_inverse=True)
+    tri6 = np.concatenate([t, inverse.reshape(3, -1).T + mesh.n_nodes], axis=1)
+    nodes = np.concatenate([mesh.nodes, 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])])
+    key = np.sort(edges, axis=1)
+    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    bedges = edges[first[counts == 1]]
+    order = {tuple(e): i for i, e in enumerate(map(tuple, uniq))}
+    bmid = np.array([order[tuple(e)] for e in map(tuple, np.sort(bedges, axis=1))])
+    btriples = np.stack([bedges[:, 0], bedges[:, 1], bmid + mesh.n_nodes], axis=1)
+    return nodes, tri6, btriples
+
+
+def _thin_mesh_by_column_loop(hplus, hminus, eps, dx0=0.01, layers=4):
+    xs = mesh_mod._thin_columns(hplus, hminus, dx0, dx0 / 8.0)
+    top, bot = eps * hplus(xs), -eps * hminus(xs)
+    thick = top - bot
+    tiny = 1e-13 * eps * max(thick.max(), 1.0)
+    nodes, cols = [], []
+    for x, yb, yt, t in zip(xs, bot, top, thick):
+        start = sum(c.size for c in cols)
+        if t <= tiny:
+            cols.append(np.array([start]))
+            nodes.append(np.array([[x, 0.5 * (yb + yt)]]))
+        else:
+            cols.append(np.arange(start, start + layers + 1))
+            nodes.append(np.stack([np.full(layers + 1, x),
+                                   np.linspace(yb, yt, layers + 1)], axis=1))
+    allnodes = np.concatenate(nodes)
+    tris = []
+    for left, right in zip(cols[:-1], cols[1:]):
+        if left.size == 1:
+            tris += [(left[0], right[j], right[j + 1]) for j in range(right.size - 1)]
+        elif right.size == 1:
+            tris += [(left[j], right[0], left[j + 1]) for j in range(left.size - 1)]
+        else:
+            for j in range(layers):
+                tris += [(left[j], right[j], right[j + 1]), (left[j], right[j + 1], left[j + 1])]
+    return allnodes, mesh_mod._orient_ccw(allnodes, np.array(tris, dtype=np.int64))
+
+
+def _assert_p2_matches_dict_route(mesh):
+    for got, want in zip(_p2_connectivity(mesh), _p2_connectivity_by_dict(mesh)):
+        assert np.array_equal(got, want)
+    fine = refine(mesh)
+    ref_nodes, ref_tri6, _ = _p2_connectivity_by_dict(mesh)
+    t, m = ref_tri6[:, :3], ref_tri6[:, 3:]
+    ref_tris = np.concatenate([np.stack([t[:, 0], m[:, 0], m[:, 2]], axis=1),
+                               np.stack([t[:, 1], m[:, 1], m[:, 0]], axis=1),
+                               np.stack([t[:, 2], m[:, 2], m[:, 1]], axis=1), m])
+    assert np.array_equal(fine.nodes, ref_nodes)
+    assert np.array_equal(fine.triangles, ref_tris)
+
+
+def _reference_polygons():
+    out = [("collinear-cap", geom2d.random_hull(15, rng=np.random.default_rng(2926583794887213564)))]
+    for family in diagram.FAMILIES:
+        for s in diagram._sample_shapes(diagram.Campaign(family, 2, seed=3, hmax=0.03)):
+            out.append((s.id, geom2d.ConvexPolygon(s.vertices)))
+    for s in diagram._sample_shapes(diagram.Campaign("randomPolygon", 2, seed=7, hmax=0.03)):
+        out.append((f"seed7-{s.id}", geom2d.ConvexPolygon(s.vertices)))
+    return out
+
+
+REFERENCE_POLYGONS = _reference_polygons()
+
+
+@pytest.mark.parametrize("name, poly", REFERENCE_POLYGONS, ids=[n for n, _ in REFERENCE_POLYGONS])
+def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch):
+    smooth, repair = mesh_mod._smooth, mesh_mod._repair_slivers
+    seen = []
+
+    def checked_smooth(points, n_fixed, rounds):
+        got = smooth(points, n_fixed, rounds)
+        want = _smooth_by_vertex_loop(points, n_fixed, rounds)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        return got
+
+    def checked_repair(pts, tris):
+        got = repair(pts, tris)
+        assert np.array_equal(got, _repair_slivers_by_edge_dict(pts, tris))
+        seen.append(got is not tris)
+        return got
+
+    monkeypatch.setattr(mesh_mod, "_smooth", checked_smooth)
+    monkeypatch.setattr(mesh_mod, "_repair_slivers", checked_repair)
+    mesh = polygon_mesh(poly, 0.03)
+    assert seen
+    _assert_p2_matches_dict_route(mesh)
+
+
+def test_sliver_repair_visits_chords_in_triangle_order():
+    """One triangle backs two chords with hanging points; the chord met first
+    in its corner order is fanned first, and that choice shapes the mesh."""
+    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+    tris = np.array([[1, 2, 0], [0, 3, 1], [0, 4, 2]])
+    got = mesh_mod._repair_slivers(pts, tris)
+    assert np.array_equal(got, _repair_slivers_by_edge_dict(pts, tris))
+    assert np.unique(got).size == len(pts)
+    assert 0.5 * mesh_mod._signed_areas(pts, got).sum() == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("half, eps, dx0, layers", [
+    (profiles.scale(profiles.triangular(0.5), 0.5), 0.2, 0.005, 4),
+    (profiles.scale(profiles.triangular(0.3), 0.5), 0.1, 0.005, 4),
+    (profiles.scale(profiles.constant(), 0.5), 0.05, 0.005, 4),
+    (profiles.scale(profiles.resolve("parabolic"), 0.5), 0.2, 0.005, 4),
+    (profiles.scale(profiles.triangular(0.5), 0.5), 0.2, 0.05, 4),
+    (profiles.scale(profiles.constant(), 0.5), 0.125, 0.25, 2),
+    (profiles.scale(profiles.triangular(0.5), 0.5), 0.1, 0.2, 2),
+], ids=["tent", "tent0.3", "rectangle", "parabolic", "tips", "layout", "graded"])
+def test_thin_mesh_array_routes_match_loop_references(half, eps, dx0, layers):
+    mesh = thin_mesh(half, half, eps, dx0=dx0, layers=layers)
+    nodes, tris = _thin_mesh_by_column_loop(half, half, eps, dx0=dx0, layers=layers)
+    assert np.array_equal(mesh.nodes, nodes)
+    assert np.array_equal(mesh.triangles, tris)
+    _assert_p2_matches_dict_route(mesh)
