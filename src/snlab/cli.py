@@ -80,7 +80,7 @@ def _report_to_dict(r: variations.VariationReport) -> dict:
 def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
     rec = sl1d.f_record(h, args.elements)
-    results = {k: rec[k] for k in ("integral", "mu1", "sigma1", "F")}
+    results = {k: v for k, v in rec.items() if k != "elements"}
     results["mu1_extrapolated"] = sl1d.mu1_extrapolated(h, args.elements)
     results["sigma1_extrapolated"] = sl1d.sigma1_extrapolated(h, args.elements)
     results["F_extrapolated"] = (results["mu1_extrapolated"] * h.integral()

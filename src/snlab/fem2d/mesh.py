@@ -23,8 +23,8 @@ zero thickness collapse to a single node and are connected by fans.  Node
 columns and column-pair triangles are built as whole arrays.
 
 Mesh sizes (``hmax``, ``eps``, ``dx0``, ``dx_min``) must be finite and
-positive; anything else, and any empty or non-finite mesh, raises
-``MeshError``.
+positive and allow at most ``MAX_THIN_COLUMNS`` strip columns; anything else,
+and any empty or non-finite mesh, raises ``MeshError``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from ..profiles import ProfileH
 QUALITY_FLOOR_DEG = 20.0
 # a mesh angle this far below min(floor, sharpest polygon corner) is the mesher's fault
 QUALITY_MARGIN_DEG = 1.0
+# strip columns allowed, far above any solvable strip (about 1.6k at dx0 = 0.005)
+MAX_THIN_COLUMNS = 100_000
 
 
 class MeshError(RuntimeError):
@@ -354,6 +356,9 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
 def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float, dx_min: float) -> np.ndarray:
     """March a graded x-grid; every profile knot is hit exactly."""
     knots = np.union1d(hplus.knots, hminus.knots)
+    # each column is a knot or at least min(dx0, dx_min) past its predecessor
+    if 1.0 / min(dx0, dx_min) + knots.size > MAX_THIN_COLUMNS:
+        raise MeshError(f"dx0={dx0!r}, dx_min={dx_min!r} allow over {MAX_THIN_COLUMNS} columns")
     xs = [0.0]
     while xs[-1] < 1.0:
         x = xs[-1]

@@ -9,9 +9,12 @@ Two eigenvalue problems share the stiffness form integral(h u' v'):
 
 Discretization is P1 on a uniform grid with the piecewise-linear weight
 integrated exactly (segments split at the profile knots, two-point Gauss on
-each cubic integrand).  The first nonzero eigenvalue comes from shift-inverted
-power iteration on the pencil with the constant mode deflated in the mass
-inner product.
+each cubic integrand).  The first nonzero eigenvalue comes from the pencil
+with the constant mode deflated in the mass inner product: two steps of
+shifted inverse iteration warm-start a Rayleigh-quotient iteration on LAPACK
+tridiagonal solves, its shift nudged off exactly singular pivots, about four
+solves in all (``SpectralResult.iterations``).  The residual certifies the
+eigenpair, and a Sturm count (inertia of A - 0.999 lam B) that it is the first.
 
 An independent route for sigma1 discretizes the equivalent integral operator
 with Green kernel
@@ -29,11 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded, eigh
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from . import profiles
 from .profiles import ProfileH
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
+_WARM_STEPS = 2                  # inverse-iteration steps before the RQI
+_NUDGES = (16.0, 1e4, 1e7)       # see _shifted_solve
+_CERT_MARGIN = 1e-3              # inertia is counted at lam * (1 - margin)
 
 
 class SolverError(RuntimeError):
@@ -151,13 +158,14 @@ def _assemble(h: ProfileH, n: int):
     return interior, boundary
 
 
-def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 2000):
+def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> SpectralResult:
     """Smallest nonzero eigenvalue of the pencil with constants deflated.
 
-    Shift-inverted power iteration: factor A + c B once (banded Cholesky) and
-    iterate the inverse on the B-orthogonal complement of the constant vector.
-    The returned eigenvalue is the Rayleigh quotient evaluated through the
-    cancellation-free element forms.
+    Each step maps z to deflate(T^-1 B z), B-normalised; the cancellation-free
+    forms alone give the reported eigenvalue.  The first ``_WARM_STEPS`` use
+    T = A + cB (one banded Cholesky factor), then Rayleigh-quotient iteration
+    takes T = A - lam B (``_shifted_solve``).  The result has passed the
+    inertia certificate; ``iterations`` counts the solves, warm start included.
     """
     n_dofs = p.a_main.size
     ones = np.ones(n_dofs)
@@ -192,7 +200,10 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 2000):
     lam = 0.0
     res = np.inf
     for it in range(1, max_iter + 1):
-        y = cho_solve_banded((cb, False), p.bmat(z))
+        if it <= _WARM_STEPS:
+            y = cho_solve_banded((cb, False), p.bmat(z))
+        else:
+            y = _shifted_solve(p, lam, p.bmat(z))
         y = deflate(y)
         norm = np.sqrt(max(p.b_form(y), 0.0))
         if not norm > 0:
@@ -211,31 +222,65 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 2000):
         floor = eps * float(np.linalg.norm(az_abs)) / denom
         stagnant = stagnant + 1 if abs(lam - lam_old) <= 4 * eps * abs(lam) else 0
         if res <= max(tol, 8.0 * floor) and (stagnant >= 2 or res <= tol):
-            return lam, z, res, it
+            _certify_first(p, lam)
+            return SpectralResult(lam, z, res, n_dofs, it)
         lam_old = lam
-    raise SolverError(f"power iteration did not converge (residual {res:.2e})")
+    raise SolverError(f"Rayleigh-quotient iteration did not converge (residual {res:.2e})")
 
 
-def mu1(h: ProfileH, elements: int = 1024) -> SpectralResult:
-    """First nonzero eigenvalue of the interior-type weighted problem."""
+def _shifted_solve(p: _Pencil, lam: float, rhs: np.ndarray) -> np.ndarray:
+    """(A - lam B)^-1 rhs by LAPACK dgtsv.  A's entries scale like n^2 h and
+    lam B's like lam h / n, so near convergence T can be exactly singular and
+    ulps of lam would not change it: the shift moves by ``_NUDGES`` times the
+    smallest change of lam that A's largest diagonal entry can show."""
+    unit = np.finfo(float).eps * float(np.max(p.a_main) / np.max(p.b_main))
+    for nudge in (0.0,) + _NUDGES:
+        s = lam - nudge * unit
+        off = p.a_off - s * p.b_off
+        _, _, _, y, info = dgtsv(off, p.a_main - s * p.b_main, off, rhs)
+        if info == 0:
+            return y
+    raise SolverError(f"A - lam B singular at lam = {lam!r} after every nudge")
+
+
+def _count_below(p: _Pencil, mu: float) -> int:
+    """Pencil eigenvalues below mu, i.e. negative eigenvalues of A - mu B (B is
+    SPD; Sylvester's law of inertia), by LAPACK dstebz.  All lie in [-g, g] for
+    the Gershgorin bound g, so bisecting (-2g, 0] to tolerance g needs only
+    the two Sturm counts."""
+    d, e = p.a_main - mu * p.b_main, p.a_off - mu * p.b_off
+    g = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    below, _, _, _, info = dstebz(d, e, 1, -2.0 * g, 0.0, 0, 0, g, "E")
+    if info != 0:
+        raise SolverError(f"dstebz failed with info {info}")
+    return int(below)
+
+
+def _certify_first(p: _Pencil, lam: float) -> None:
+    """Raise unless only the constant mode lies below lam (1 - _CERT_MARGIN)."""
+    below = _count_below(p, lam * (1.0 - _CERT_MARGIN))
+    if below != 1:
+        raise SolverError(f"inertia certificate failed: {below} eigenvalues below 0.999 lam")
+
+
+def _pencils(h: ProfileH, elements: int):
+    """(interior, boundary) pencils of an admissible weight."""
     if np.any(h.values < -1e-12):
         raise ValueError("weight must be nonnegative")
     if h.integral() <= 0:
         raise ValueError("weight must have positive integral")
-    interior, _ = _assemble(h, elements)
-    lam, vec, res, it = _solve_pencil(interior)
-    return SpectralResult(lam, vec, res, elements + 1, it)
+    return _assemble(h, elements)
 
 
-def sigma1(h: ProfileH, elements: int = 1024) -> SpectralResult:
+def mu1(h: ProfileH, elements: int = 1024, *, pencils=None) -> SpectralResult:
+    """First nonzero eigenvalue of the interior-type weighted problem; pass
+    ``pencils=_pencils(h, elements)`` to reuse an assembly."""
+    return _solve_pencil((pencils or _pencils(h, elements))[0])
+
+
+def sigma1(h: ProfileH, elements: int = 1024, *, pencils=None) -> SpectralResult:
     """First nonzero eigenvalue of the boundary-type weighted problem."""
-    if np.any(h.values < -1e-12):
-        raise ValueError("weight must be nonnegative")
-    if h.integral() <= 0:
-        raise ValueError("weight must have positive integral")
-    _, boundary = _assemble(h, elements)
-    lam, vec, res, it = _solve_pencil(boundary)
-    return SpectralResult(lam, vec, res, elements + 1, it)
+    return _solve_pencil((pencils or _pencils(h, elements))[1])
 
 
 def _extrapolate(solver, h: ProfileH, elements: int) -> float:
@@ -260,15 +305,14 @@ def sigma1_extrapolated(h: ProfileH, elements: int = 2048) -> float:
 
 def F_of_h(h: ProfileH, elements: int = 1024) -> float:
     """Scale-invariant ratio mu1(h) * integral(h) / sigma1(h) on matched grids."""
-    m = mu1(h, elements)
-    s = sigma1(h, elements)
-    return m.eigenvalue * h.integral() / s.eigenvalue
+    return f_record(h, elements)["F"]
 
 
 def f_record(h: ProfileH, elements: int = 1024) -> dict:
     """mu1, sigma1 and F with solver certificates, for reporting."""
-    m = mu1(h, elements)
-    s = sigma1(h, elements)
+    pair = _pencils(h, elements)
+    m = mu1(h, elements, pencils=pair)
+    s = sigma1(h, elements, pencils=pair)
     integ = h.integral()
     return {
         "elements": elements,
@@ -278,6 +322,8 @@ def f_record(h: ProfileH, elements: int = 1024) -> dict:
         "F": m.eigenvalue * integ / s.eigenvalue,
         "mu1_residual": m.residual,
         "sigma1_residual": s.residual,
+        "mu1_iterations": m.iterations,
+        "sigma1_iterations": s.iterations,
     }
 
 

@@ -78,6 +78,13 @@ def test_f1d_parabolic_with_kernel_oracle(capsys):
     assert res["oracle_gap"] < 1e-3
 
 
+def test_f1d_json_reports_solver_certificates(capsys):
+    res = run_json(capsys, ["f1d", "--profile", "tent:0.3", "--elements", "512"])["results"]
+    for q in ("mu1", "sigma1"):
+        assert 0.0 < res[f"{q}_residual"] <= 1e-9
+        assert 1 <= res[f"{q}_iterations"] <= 8
+
+
 def test_f1d_parabolic_star_sigma(capsys):
     res = run_json(capsys, ["f1d", "--profile", "parabolic",
                             "--elements", "512"])["results"]

@@ -130,6 +130,8 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx_min=0.0),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-300),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-7),
     lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),
     lambda: polygon_mesh(geom2d.resolve("square"), math.inf),
     lambda: polygon_mesh(geom2d.resolve("square"), 0.0),
@@ -137,7 +139,8 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
                          np.array([[0, 1, 2]])),
 ], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx_min-zero", "layers-zero",
-        "hmax-nan", "hmax-inf", "hmax-zero", "no-triangles", "nan-node"])
+        "dx0-1e-300", "dx0-1e-7", "hmax-nan", "hmax-inf", "hmax-zero", "no-triangles",
+        "nan-node"])
 def test_degenerate_inputs_raise_mesh_error(make):
     with pytest.raises(MeshError):
         make()
