@@ -81,8 +81,8 @@ def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
     rec = sl1d.f_record(h, args.elements)
     results = {k: v for k, v in rec.items() if k != "elements"}
-    results["mu1_extrapolated"] = sl1d.mu1_extrapolated(h, args.elements)
-    results["sigma1_extrapolated"] = sl1d.sigma1_extrapolated(h, args.elements)
+    results["mu1_extrapolated"], results["sigma1_extrapolated"] = (
+        sl1d.extrapolated_pair(h, args.elements))
     results["F_extrapolated"] = (results["mu1_extrapolated"] * h.integral()
                                  / results["sigma1_extrapolated"])
     if args.oracle:
@@ -150,7 +150,9 @@ def _cmd_fem(args):
     for _ in range(max(1, args.levels)):
         rec = fem2d.record_from_mesh(mesh, g)
         levels.append({k: getattr(rec, k)
-                       for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F")})
+                       for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F",
+                                 "mu_residual", "sigma_residual",
+                                 "mu_iterations", "sigma_iterations")})
         if len(levels) < max(1, args.levels):
             mesh = fem2d.refine(mesh)
     results = {"area": g.area, "perimeter": g.perimeter, "levels": levels}

@@ -5,6 +5,7 @@ The 7-point degree-5 triangle rule integrates the quadratic stiffness and
 quartic mass integrands exactly, so assembly introduces no quadrature error.
 The boundary mass matrix uses the exact one-dimensional P2 mass matrix per
 boundary edge and is supported on boundary degrees of freedom only.
+K and M share one CSR pattern, sorted and summed once per mesh.
 """
 
 from __future__ import annotations
@@ -116,8 +117,13 @@ def assemble(mesh: TriangleMesh) -> FEMSystem:
     rows = np.repeat(tri6, 6, axis=1).ravel()
     cols = np.tile(tri6, (1, 6)).ravel()
     n = nodes.shape[0]
-    K = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    M = sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # one conversion sorts the pattern and sums duplicates for K (real part) and
+    # M (imaginary part); complex addition rounds each part as real addition
+    # does, so both equal their separate conversions bit for bit
+    KM = sparse.coo_matrix(((ke + 1j * me).ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    K = sparse.csr_matrix((KM.data.real.copy(), KM.indices, KM.indptr), shape=(n, n))
+    M = sparse.csr_matrix((KM.data.imag.copy(), KM.indices.copy(), KM.indptr.copy()),
+                          shape=(n, n))
 
     lengths = np.hypot(*(nodes[btriples[:, 1]] - nodes[btriples[:, 0]]).T)
     be = lengths[:, None, None] * _EDGE_MASS

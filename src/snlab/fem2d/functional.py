@@ -42,6 +42,8 @@ class DomainRecord:
     hmax: float
     mu_residual: float
     sigma_residual: float
+    mu_iterations: int           # Lanczos operator applications per solve
+    sigma_iterations: int
     warning: str | None = None
 
     def as_dict(self) -> dict:
@@ -52,7 +54,8 @@ class DomainRecord:
 
 def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
     """Functional record of a meshed domain with geometry ``geo``: the one
-    path from a mesh to (mu1, sigma1, x, y, F) and their residuals."""
+    path from a mesh to (mu1, sigma1, x, y, F), their residuals and the
+    solvers' operator applications."""
     system = assemble(mesh)
     mu = neumann_mu1(system)
     sg = steklov_sigma1(system)
@@ -64,6 +67,7 @@ def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
         mu1=mu.eigenvalue, sigma1=sg.eigenvalue, x=x, y=y, F=y / x,
         dofs=system.n_dofs, hmax=mesh.hmax(),
         mu_residual=mu.residual, sigma_residual=sg.residual,
+        mu_iterations=mu.iterations, sigma_iterations=sg.iterations,
         warning=mesh.quality_warning)
 
 
@@ -121,8 +125,7 @@ def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
         f_seq.append(rec.F)
 
     h = profiles.add(hplus, hminus)
-    mu_lim = sl1d.mu1_extrapolated(h, elements=elements_1d)
-    sg_lim = sl1d.sigma1_extrapolated(h, elements=elements_1d)
+    mu_lim, sg_lim = sl1d.extrapolated_pair(h, elements_1d)
     f_lim = mu_lim * h.integral() / sg_lim
     return ThinSweep(
         eps=eps_arr, mu1=tuple(mu_seq), sigma1=tuple(sg_seq),

@@ -1,22 +1,45 @@
 """Eigenvalue extraction from assembled P2 systems.
 
 Both pencils take one path: the Neumann pencil (K, M) and the Steklov pencil
-(K, B), written (K, W) below, are solved by shift-inverted Lanczos (ARPACK
-mode 3) at a small negative shift s.  K is singular with the constants in its
-kernel and W is positive on constants, so K - sW is positive definite.  It is
-factored once, with an ordering for its symmetric pattern, and the factor is
-ARPACK's inverse operator.  The zero mode and the first nontrivial mode are
-the two eigenvalues nearest the shift; the shift is fixed by the domain's
-length scale L, as -(pi/L)^2 / 2 for mu (units 1/length^2) and -(pi/L) / 2
-for sigma (units 1/length).
+(K, B), written (K, W) below, are solved by shift-inverted Lanczos at a small
+negative shift s.  K is singular with the constants in its kernel and W is
+positive on constants, so K - sW is positive definite.  It is factored once,
+with an ordering for its symmetric pattern, and the operator is
+
+    OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
+
+self-adjoint in the W inner product <x, y>_W = x.W y.  The zero mode and the
+first nontrivial mode are the two largest nu; the shift is fixed by the
+domain's length scale L, as -(pi/L)^2 / 2 for mu (units 1/length^2) and
+-(pi/L) / 2 for sigma (units 1/length).
+
+Lanczos (Nour-Omid, Parlett, Ericsson & Jensen, "How to implement the
+spectral transformation", Math. Comp. 48, 1987) builds a W-orthonormal basis
+q_1, q_2, ... with
+
+    beta_j q_{j+1} = OP q_j - alpha_j q_j - beta_{j-1} q_{j-1},
+
+reorthogonalized in full (two Gram-Schmidt passes per step), so that OP acts
+on the basis as the symmetric tridiagonal matrix T_j = tridiag(beta, alpha,
+beta).  After every step the eigenpairs (nu, y) of T_j give Ritz values, and
+the run stops as soon as the two largest satisfy ARPACK's default test
+(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
+
+    |beta_j y_j| <= eps |nu|,    eps the machine epsilon,
+
+where |beta_j y_j|, y_j the last entry of y, is the W-norm of the Ritz
+pair's residual in OP.  A breakdown (beta_j zero or not finite) before that
+test holds, or reaching ``_MAX_STEPS``, raises ``FEMError``.
 
 B is supported on boundary dofs only, so it is singular: semidefinite, not
-definite.  Shift-invert mode allows that (Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, 1998): the operator (K - sB)^-1 B maps every vector to the
-discrete harmonic extension of its boundary values, and the infinite
-eigenvalues of the pencil map to 1/(lambda - s) = 0, so the largest-magnitude
-Ritz values are never among them.  No dense boundary block is formed, so
-memory stays proportional to the sparse factor.
+definite.  OP maps every vector to the discrete harmonic extension of W times
+it, and <., .>_W is an inner product on that range (a harmonic extension with
+zero boundary values is zero).  The run therefore starts from OP v0 rather
+than v0, as ARPACK's ``dgetv0`` does when B may be singular: every basis
+vector then lies in the range of OP, the W-norms are true norms, and the
+infinite eigenvalues of the pencil (nu = 0) never enter.  No dense boundary
+block is formed, and the basis holds only the steps taken, so memory stays
+proportional to the sparse factor.
 
 Residuals are always reported against the full pencil.
 """
@@ -26,11 +49,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import splu
 
 from .assemble import FEMSystem
 
 RESIDUAL_TOL = 1e-9
+_MAX_STEPS = 100                 # Lanczos step cap; campaign and strip solves take 12-29
+_BLOCK = 32                      # basis rows allocated at a time
+_EPS = np.finfo(float).eps
 
 
 class FEMError(RuntimeError):
@@ -45,6 +72,8 @@ class EigenPair2D:
     h_max: float
     residual: float
     eigenvector: np.ndarray = field(repr=False, compare=False, default=None)
+    iterations: int = 0          # operator applications, the start included
+    lu_nnz: int = 0              # nonzeros of the L and U factors of K - sW
 
 
 def _relative_residual(K, W, lam, vec) -> float:
@@ -52,6 +81,37 @@ def _relative_residual(K, W, lam, vec) -> float:
     wv = W @ vec
     return float(np.linalg.norm(kv - lam * wv)
                  / (np.linalg.norm(kv) + abs(lam) * np.linalg.norm(wv)))
+
+
+def _lanczos(solve, W, v0, kind: str):
+    """Two largest eigenpairs (nu, x) of OP = solve(W .) in the W inner
+    product, started from OP v0; returns (nu, X, operator applications)."""
+    q = solve(W @ v0)
+    wq = W @ q
+    norm = np.sqrt(q @ wq)
+    Q = np.empty((_BLOCK, q.size))             # rows q_i
+    WQ = np.empty((_BLOCK, q.size))            # rows W q_i
+    alpha, beta = [], []
+    for j in range(_MAX_STEPS):
+        if not 0 < norm < np.inf:
+            raise FEMError(f"{kind} Lanczos broke down at step {j}")
+        if j == len(Q):
+            Q = np.concatenate([Q, np.empty((_BLOCK, q.size))])
+            WQ = np.concatenate([WQ, np.empty((_BLOCK, q.size))])
+        Q[j], WQ[j] = q / norm, wq / norm
+        q = solve(WQ[j])
+        alpha.append(q @ WQ[j])
+        for _ in range(2):
+            q -= (WQ[:j + 1] @ q) @ Q[:j + 1]
+        wq = W @ q
+        norm = np.sqrt(q @ wq)
+        if j:
+            nu, S = eigh_tridiagonal(alpha, beta, check_finite=False)
+            nu, S = nu[-2:], S[:, -2:]
+            if np.all(np.abs(norm * S[-1]) <= _EPS * np.abs(nu)):
+                return nu, Q[:j + 1].T @ S, j + 2
+        beta.append(norm)
+    raise FEMError(f"{kind} Lanczos did not converge in {_MAX_STEPS} steps")
 
 
 def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenPair2D:
@@ -64,10 +124,10 @@ def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenP
     v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
     try:
         lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        op = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
-        vals, vecs = eigsh(K, k=2, M=W, sigma=shift, which="LM", OPinv=op, v0=v0)
-    except RuntimeError as exc:   # singular factor or ARPACK failure
+    except RuntimeError as exc:   # singular factor
         raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
+    nu, vecs, steps = _lanczos(lu.solve, W, v0, kind)
+    vals = shift + 1.0 / nu
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     lam = float(vals[1])
@@ -78,7 +138,8 @@ def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenP
     if res > RESIDUAL_TOL:
         raise FEMError(f"{kind} residual {res:.2e} above {RESIDUAL_TOL}")
     return EigenPair2D(eigenvalue=lam, kind=kind, dofs=system.n_dofs,
-                       h_max=system.mesh.hmax(), residual=res, eigenvector=vec)
+                       h_max=system.mesh.hmax(), residual=res, eigenvector=vec,
+                       iterations=steps, lu_nnz=lu.L.nnz + lu.U.nnz)
 
 
 def neumann_mu1(system: FEMSystem) -> EigenPair2D:

@@ -283,24 +283,37 @@ def sigma1(h: ProfileH, elements: int = 1024, *, pencils=None) -> SpectralResult
     return _solve_pencil((pencils or _pencils(h, elements))[1])
 
 
-def _extrapolate(solver, h: ProfileH, elements: int) -> float:
-    """Two-step Richardson extrapolation of the order-2 discretization."""
+def _grids(h: ProfileH, elements: int) -> tuple:
+    """(n, pencils) on the three grids n = elements, elements/2, elements/4
+    of the Richardson extrapolation."""
     if elements % 4:
         raise ValueError("element count must be divisible by 4")
-    v4 = solver(h, elements).eigenvalue
-    v2 = solver(h, elements // 2).eigenvalue
-    v1 = solver(h, elements // 4).eigenvalue
+    return tuple((n, _pencils(h, n)) for n in (elements, elements // 2, elements // 4))
+
+
+def _extrapolate(solver, h: ProfileH, grids) -> float:
+    """Two-step Richardson extrapolation of the order-2 discretization."""
+    v4, v2, v1 = (solver(h, n, pencils=p).eigenvalue for n, p in grids)
     e2 = (4.0 * v4 - v2) / 3.0
     e1 = (4.0 * v2 - v1) / 3.0
     return (16.0 * e2 - e1) / 15.0
 
 
-def mu1_extrapolated(h: ProfileH, elements: int = 2048) -> float:
-    return _extrapolate(mu1, h, elements)
+def mu1_extrapolated(h: ProfileH, elements: int = 2048, *, grids=None) -> float:
+    """Richardson limit of mu1; pass ``grids=_grids(h, elements)`` to reuse
+    assemblies."""
+    return _extrapolate(mu1, h, grids or _grids(h, elements))
 
 
-def sigma1_extrapolated(h: ProfileH, elements: int = 2048) -> float:
-    return _extrapolate(sigma1, h, elements)
+def sigma1_extrapolated(h: ProfileH, elements: int = 2048, *, grids=None) -> float:
+    return _extrapolate(sigma1, h, grids or _grids(h, elements))
+
+
+def extrapolated_pair(h: ProfileH, elements: int = 2048) -> tuple:
+    """(mu1, sigma1) Richardson limits, both from one assembly per grid."""
+    grids = _grids(h, elements)
+    return (mu1_extrapolated(h, elements, grids=grids),
+            sigma1_extrapolated(h, elements, grids=grids))
 
 
 def F_of_h(h: ProfileH, elements: int = 1024) -> float:

@@ -121,6 +121,12 @@ def test_fem_square_levels(capsys):
     assert 1.0 < res["F"] < 2.0
 
 
+def test_fem_levels_report_solver_stats(capsys):
+    (level,) = run_json(capsys, ["fem", "--shape", "T1", "--hmax", "0.2"])["results"]["levels"]
+    assert level["mu_residual"] <= 1e-9 and level["sigma_residual"] <= 1e-9
+    assert 2 < level["mu_iterations"] <= 40 and 2 < level["sigma_iterations"] <= 40
+
+
 def test_thin_sweep_tent(capsys):
     res = run_json(capsys, ["thin", "--profile", "tent:0.5",
                             "--eps", "0.2,0.1,0.05", "--dx0", "0.02"])["results"]

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from snlab import geom2d, profiles
-from snlab.fem2d import (assemble, neumann_mu1, polygon_mesh, refine, steklov_sigma1,
-                         thin_mesh)
+from snlab import diagram, geom2d, profiles
+from snlab.fem2d import (FEMError, assemble, neumann_mu1, polygon_mesh, refine,
+                         steklov_sigma1, thin_mesh)
+from snlab.fem2d import solve as fem_solve
 from snlab.fem2d.solve import RESIDUAL_TOL
 
 PI2 = math.pi ** 2
@@ -156,3 +158,98 @@ def test_parabolic_strip_steklov_solve_stays_sparse():
         tracemalloc.stop()
     assert pair.residual <= RESIDUAL_TOL
     assert peak < 64 * 2 ** 20
+
+
+def test_stiffness_and_mass_equal_separate_conversions(monkeypatch):
+    """K and M come out of one complex COO-to-CSR conversion; each must equal
+    the real conversion of its own part bit for bit."""
+    made = []
+    coo = sparse.coo_matrix
+
+    def recording_coo(*args, **kwargs):
+        made.append(coo(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(sparse, "coo_matrix", recording_coo)
+    system = assemble(polygon_mesh(geom2d.random_hull(15, rng=np.random.default_rng(7)), 0.05))
+    monkeypatch.undo()
+    km = next(m for m in made if np.iscomplexobj(m.data))
+    for part, got in ((km.data.real, system.K), (km.data.imag, system.M)):
+        want = sparse.coo_matrix((part, (km.row, km.col)), shape=km.shape).tocsr()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
+def _eigsh_first_nonzero(system, W, length_power):
+    """Reference route: the ARPACK call that the Lanczos run replaced, with
+    the same shift, factor and start vector; returns (eigenvalue, residual)."""
+    K = system.K
+    span = system.nodes.max(axis=0) - system.nodes.min(axis=0)
+    shift = -0.5 * (np.pi / float(np.sqrt(span @ span))) ** length_power
+    v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
+    lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    op = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
+    vals, vecs = eigsh(K, k=2, M=W, sigma=shift, which="LM", OPinv=op, v0=v0)
+    i = np.argsort(vals)[1]
+    return float(vals[i]), fem_solve._relative_residual(K, W, vals[i], vecs[:, i])
+
+
+def _parabolic_strip():
+    half = profiles.scale(profiles.resolve("parabolic"), 0.5)
+    return thin_mesh(half, half, 0.2, dx0=0.005)
+
+
+def _campaign_mesh(i):
+    sample = diagram._sample_shapes(diagram.Campaign("randomPolygon", 10, seed=7))[i]
+    return polygon_mesh(geom2d.ConvexPolygon(sample.vertices), 0.03)
+
+
+_LANCZOS_CASES = {
+    "square": lambda: polygon_mesh(geom2d.named("square"), 0.1),
+    "T1": lambda: polygon_mesh(geom2d.named("T1"), 0.1),
+    "disk96": lambda: polygon_mesh(geom2d.named("disk:96"), 0.12),
+    "tent-strip": _tent_strip,
+    "parabolic-strip": _parabolic_strip,
+    **{f"randomPolygon-{i:04d}": (lambda i=i: _campaign_mesh(i)) for i in range(10)},
+}
+
+
+@pytest.mark.parametrize("case", list(_LANCZOS_CASES))
+def test_lanczos_matches_eigsh(case):
+    system = assemble(_LANCZOS_CASES[case]())
+    for solver, W, power in ((neumann_mu1, system.M, 2), (steklov_sigma1, system.B, 1)):
+        pair = solver(system)
+        value, residual = _eigsh_first_nonzero(system, W, power)
+        assert pair.eigenvalue == pytest.approx(value, rel=1e-12)
+        # the eigenvector is as accurate as ARPACK's: a looser stop rule
+        # (Ritz tolerance 1e-12) leaves residuals 7 to 1200 times larger
+        assert pair.residual <= 2.0 * residual
+        assert 2 < pair.iterations <= 40
+        assert pair.lu_nnz >= system.n_dofs
+
+
+def test_lanczos_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(fem_solve, "_MAX_STEPS", 3)
+    system = assemble(polygon_mesh(geom2d.named("T1"), 0.1))
+    with pytest.raises(FEMError, match="did not converge in 3 steps"):
+        neumann_mu1(system)
+    with pytest.raises(FEMError, match="did not converge in 3 steps"):
+        steklov_sigma1(system)
+
+
+def test_lanczos_basis_grows_past_one_block(monkeypatch):
+    system = assemble(polygon_mesh(geom2d.named("T1"), 0.1))
+    expected = steklov_sigma1(system).eigenvalue
+    monkeypatch.setattr(fem_solve, "_BLOCK", 4)
+    pair = steklov_sigma1(system)
+    assert pair.iterations > 4 + 1
+    assert pair.eigenvalue == pytest.approx(expected, rel=1e-12)
+    assert pair.residual <= RESIDUAL_TOL
+
+
+def test_lanczos_breakdown_raises():
+    """OP = 2 I leaves no direction after the first: an invariant subspace
+    that holds one Ritz value cannot certify two."""
+    W = sparse.identity(5, format="csr")
+    with pytest.raises(FEMError, match="broke down"):
+        fem_solve._lanczos(lambda x: 2.0 * x, W, np.ones(5), "test")

@@ -221,3 +221,18 @@ def test_inertia_count_matches_dense_eigensolve(elements):
             sl1d._certify_first(p, w[1])
             with pytest.raises(sl1d.SolverError, match="inertia certificate"):
                 sl1d._certify_first(p, w[2])
+
+
+def test_extrapolated_pair_assembles_each_grid_once(monkeypatch):
+    h = profiles.triangular(0.3)
+    expected = (sl1d.mu1_extrapolated(h, 512), sl1d.sigma1_extrapolated(h, 512))
+    sizes = []
+    assemble = sl1d._assemble
+
+    def counting_assemble(h, n):
+        sizes.append(n)
+        return assemble(h, n)
+
+    monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
+    assert sl1d.extrapolated_pair(h, 512) == expected
+    assert sorted(sizes) == [128, 256, 512]
