@@ -4,7 +4,8 @@ J0, J1 and their first zeros come from ``scipy.special`` (Cephes); on the
 test points they agree with mpmath to within 4.4e-16.
 
 The first nonzero eigenvalue of the weighted problems on a tent profile with
-peak at x0 solves a transcendental equation in Bessel functions; the two
+peak at x0 solves a transcendental equation in Bessel functions, found by a
+scan for the first sign change and ``scipy.optimize.brentq``.  The two
 equations differ only by a factor of two in the argument, which forces the
 eigenvalue ratio mu1/sigma1 = 4 for every tent.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy import special
+from scipy import optimize, special
 
 _SCAN_STEP = 0.05
 _SCAN_MAX = 60.0
@@ -33,29 +34,6 @@ def besselj0_prime(x: float) -> float:
 
 def besselj1_prime(x: float) -> float:
     return float(special.jvp(1, x))
-
-
-def _bisect(f, lo: float, hi: float, xtol: float = 1e-13, max_iter: int = 200) -> float:
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < xtol:
-            break
-    return 0.5 * (lo + hi)
 
 
 def j0_first_zero() -> float:
@@ -100,7 +78,7 @@ def _tent_root(x0: float, arg_scale: float, equation: str) -> TranscendentalRoot
         b = a + _SCAN_STEP
         fb = f(b)
         if fa * fb <= 0:
-            s_root = _bisect(f, a, b)
+            s_root = optimize.brentq(f, a, b, xtol=1e-13)
             return TranscendentalRoot(
                 value=s_root * s_root,
                 equation=equation,

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 TWO_MINUS_SQRT2 = 2.0 - np.sqrt(2.0)
@@ -50,32 +51,11 @@ def _scaled_magnitude(tau: float, u: float) -> float:
     return 0.25 * (tau * u) ** 2 * u * u + (u - 1.0) ** 2 * abs(2.0 * u - 1.0)
 
 
-def _bisect_poly(tau: float, y_lo: float, y_hi: float, max_iter: int = 200) -> float:
-    lo, hi = y_lo / tau, y_hi / tau
-
-    def f(u):
-        return p_tau_scaled(tau, u)
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return y_lo
-    if fhi == 0.0:
-        return y_hi
-    if flo * fhi > 0:
-        raise ValueError(f"quartic has no sign change on [{y_lo}, {y_hi}] at tau={tau}")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-    return tau * 0.5 * (lo + hi)
+def _root_in(tau: float, y_lo: float, y_hi: float) -> float:
+    """Brent's method on the scaled quartic u = y / tau, to full precision."""
+    u = optimize.brentq(lambda u: p_tau_scaled(tau, u), y_lo / tau, y_hi / tau,
+                        xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+    return tau * u
 
 
 @dataclass(frozen=True)
@@ -107,7 +87,7 @@ def root_brackets(tau: float) -> tuple:
         raise ValueError("tau must lie strictly inside (0, 1)")
     mid = tau + 0.5 * tau * tau
     y_max = 1.0 + 8.0 / tau
-    if tau <= SQRT3_2:
+    if tau < SQRT3_2:
         first = 2.0 * tau / 3.0
     elif tau <= 0.9:
         first = 0.5
@@ -118,7 +98,7 @@ def root_brackets(tau: float) -> tuple:
 
 def quartic_roots(tau: float) -> QuarticRoots:
     brackets = root_brackets(tau)
-    roots = np.array([_bisect_poly(tau, lo, hi) for lo, hi in brackets])
+    roots = np.array([_root_in(tau, lo, hi) for lo, hi in brackets])
     t3 = tau ** 3
     residuals = np.array([t3 * abs(p_tau_scaled(tau, y / tau)) for y in roots])
     scales = np.array([t3 * _scaled_magnitude(tau, y / tau) for y in roots])
@@ -139,28 +119,15 @@ def f_of_tau(tau: float) -> float:
 
 
 def constant_K(grid: int = 1000) -> tuple[float, float]:
-    """Maximum of f and its argmax, by grid scan plus golden-section refinement."""
+    """Maximum of f and its argmax: grid scan, then a bounded Brent search
+    between the neighbours of the best grid point."""
     taus = np.linspace(TAU_GRID_LO, TAU_GRID_HI, grid)
     vals = np.array([f_of_tau(t) for t in taus])
     i = int(np.argmax(vals))
-    lo = taus[max(i - 1, 0)]
-    hi = taus[min(i + 1, grid - 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f_of_tau(c), f_of_tau(d)
-    while b - a > 1e-12:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f_of_tau(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f_of_tau(d)
-    tau_star = 0.5 * (a + b)
-    return f_of_tau(tau_star), tau_star
+    bracket = (taus[max(i - 1, 0)], taus[min(i + 1, grid - 1)])
+    res = optimize.minimize_scalar(lambda t: -f_of_tau(t), bounds=bracket,
+                                   method="bounded", options={"xatol": 1e-12})
+    return f_of_tau(res.x), float(res.x)
 
 
 def lower_bound_constant() -> float:

@@ -331,6 +331,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            parser.error("--threads must be at least 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "handler", None) is None:

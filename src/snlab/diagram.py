@@ -23,6 +23,7 @@ regardless of how many workers evaluate them.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ import numpy as np
 from . import bessel, bounds, geom2d, profiles
 from .fem2d import F_of_domain
 from .fem2d.functional import DomainRecord
+from .fem2d.mesh import _min_angle_deg
 from .geom2d import ConvexPolygon
 
 FAMILIES = ("randomPolygon", "randomTriangle", "randomQuadrilateral",
@@ -165,15 +167,7 @@ def _sample_seeds(seed: int, n: int) -> list:
 
 
 def _triangle_min_angle_deg(pts: np.ndarray) -> float:
-    angles = []
-    for i in range(3):
-        a = pts[(i + 1) % 3] - pts[i]
-        b = pts[(i + 2) % 3] - pts[i]
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        if denom == 0.0:
-            return 0.0
-        angles.append(math.acos(np.clip(np.dot(a, b) / denom, -1.0, 1.0)))
-    return math.degrees(min(angles))
+    return _min_angle_deg(np.roll(pts, -1, axis=0) - pts, np.roll(pts, 1, axis=0) - pts)
 
 
 def _random_triangle(rng: np.random.Generator) -> ConvexPolygon:
@@ -181,7 +175,8 @@ def _random_triangle(rng: np.random.Generator) -> ConvexPolygon:
     angle so that meshes at the campaign hmax stay within the quality floor."""
     for _ in range(1000):
         pts = rng.random((3, 2))
-        if _triangle_min_angle_deg(pts) < _TRIANGLE_MIN_ANGLE_DEG:
+        # written so that a NaN angle (coincident vertices) rejects the draw
+        if not _triangle_min_angle_deg(pts) >= _TRIANGLE_MIN_ANGLE_DEG:
             continue
         try:
             return ConvexPolygon(geom2d.convex_hull(pts))
@@ -255,11 +250,15 @@ def run_campaign(c: Campaign, threads: int = 1) -> CampaignResult:
     """Evaluate every sample of a campaign; failures become error records.
 
     Geometry is generated up front from per-sample seeds, so results are
-    identical whether the solver pass below runs serially or on a pool.
+    identical whether the solver pass below runs serially or on a pool.  The
+    pool never has more workers than samples or CPUs.
     """
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
     samples = _sample_shapes(c)
-    if threads > 1 and len(samples) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(samples), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_sample, samples, chunksize=4))
     else:
         outcomes = [_evaluate_sample(s) for s in samples]

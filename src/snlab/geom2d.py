@@ -1,9 +1,9 @@
 """Convex polygon geometry: hulls, functionals, thin domains, named shapes.
 
-Functionals follow the classical algorithms: shoelace area, rotating calipers
-for diameter and width, Chebyshev center by linear programming for the
-inradius.  Thin domains are built from a pair of profiles as
-{(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
+Hulls come from qhull.  Functionals follow the classical algorithms: shoelace
+area, rotating calipers for diameter and width, Chebyshev center by linear
+programming for the inradius.  Thin domains are built from a pair of profiles
+as {(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
 result is convex and, since profiles are piecewise linear, the polygon is the
 exact domain rather than a sampling of it.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, QhullError
 
 from .profiles import ProfileH
 
@@ -74,36 +75,19 @@ def prune_collinear(points: np.ndarray, tol: float = COLLINEAR_TOL) -> np.ndarra
 
 
 def convex_hull(points) -> np.ndarray:
-    """Convex hull by Andrew's monotone chain; collinear points are dropped.
+    """Convex hull by qhull (``ConvexHull``); collinear points are dropped.
 
     Returns hull vertices in counterclockwise order starting from the
     lexicographically smallest point.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)   # sorted lexicographically
     if pts.shape[0] < 3:
         raise GeometryError("need at least three distinct points")
-    # lexicographic sort by (x, y)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(seq):
-        chain = []
-        for p in seq:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] < 3:
-        raise GeometryError("hull is degenerate (collinear points)")
-    return hull
+    try:
+        idx = ConvexHull(pts).vertices
+    except QhullError as exc:
+        raise GeometryError("hull is degenerate (collinear points)") from exc
+    return pts[np.roll(idx, -int(np.argmin(idx)))]
 
 
 def random_hull(count: int = 15, rng: np.random.Generator | None = None,
@@ -233,20 +217,10 @@ def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float,
     xs = np.union1d(hplus.knots, hminus.knots)
     if samples is not None and samples > 2:
         xs = np.union1d(xs, np.linspace(0.0, 1.0, samples))
-    top = eps * hplus(xs)
-    bot = -eps * hminus(xs)
-    pts = []
-    for x, y in zip(xs, bot):
-        pts.append((x, y))
-    for x, y in zip(xs[::-1], top[::-1]):
-        pts.append((x, y))
-    arr = np.array(pts)
+    arr = np.vstack([np.column_stack([xs, -eps * hminus(xs)]),
+                     np.column_stack([xs[::-1], (eps * hplus(xs))[::-1]])])
     # drop consecutive duplicates (degenerate tips where both chains meet)
-    keep = np.ones(arr.shape[0], dtype=bool)
-    for i in range(arr.shape[0]):
-        if np.allclose(arr[i], arr[(i + 1) % arr.shape[0]], atol=1e-15):
-            keep[(i + 1) % arr.shape[0]] = False
-    arr = arr[keep]
+    arr = arr[~np.isclose(np.roll(arr, 1, axis=0), arr, atol=1e-15).all(axis=1)]
     return ConvexPolygon(prune_collinear(arr))
 
 

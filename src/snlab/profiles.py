@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 CONCAVITY_TOL = 1e-12
 NONNEG_TOL = 1e-12
@@ -201,39 +202,14 @@ def positivity_constant(h: ProfileH) -> float:
     return float(min(cands))
 
 
-def _pava_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares fit of a nonincreasing sequence (pool adjacent violators)."""
-    n = y.size
-    means = []
-    weights = []
-    counts = []
-    for i in range(n):
-        means.append(y[i])
-        weights.append(w[i])
-        counts.append(1)
-        while len(means) > 1 and means[-2] < means[-1] - 0.0:
-            m2, w2, c2 = means.pop(), weights.pop(), counts.pop()
-            m1, w1, c1 = means.pop(), weights.pop(), counts.pop()
-            wt = w1 + w2
-            means.append((m1 * w1 + m2 * w2) / wt)
-            weights.append(wt)
-            counts.append(c1 + c2)
-    out = np.empty(n)
-    pos = 0
-    for m, c in zip(means, counts):
-        out[pos:pos + c] = m
-        pos += c
-    return out
-
-
 def project_concave(values, knots=None, max_rounds: int = 100) -> ProfileH:
     """Nearest concave nonnegative profile to the given ordinates.
 
-    Slopes are made nonincreasing by pool-adjacent-violators, the ordinate
-    level is chosen by least squares, and negatives are clamped at zero.  The
-    two steps alternate until both constraints hold.  The result is not
-    renormalized; callers that need a unit integral compose with
-    :func:`normalize`.
+    Slopes are made nonincreasing by a weighted ``isotonic_regression`` (pool
+    adjacent violators), the ordinate level is chosen by least squares, and
+    negatives are clamped at zero.  The two steps alternate until both
+    constraints hold.  The result is not renormalized; callers that need a
+    unit integral compose with :func:`normalize`.
     """
     values = np.asarray(values, dtype=float)
     if knots is None:
@@ -247,7 +223,7 @@ def project_concave(values, knots=None, max_rounds: int = 100) -> ProfileH:
     v = values.copy()
     for _ in range(max_rounds):
         s = np.diff(v) / dx
-        s_fit = _pava_nonincreasing(s, dx)
+        s_fit = isotonic_regression(s, weights=dx, increasing=False).x
         shape = np.concatenate([[0.0], np.cumsum(s_fit * dx)])
         level = float(np.mean(values - shape))
         v = shape + level

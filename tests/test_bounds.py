@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,16 @@ def test_quartic_roots_against_numpy_companion_oracle(tau):
     numpy_roots = np.sort(np.roots(coeffs).real[np.abs(np.roots(coeffs).imag) < 1e-9])
     ours = bounds.quartic_roots(tau).roots
     assert np.allclose(ours, numpy_roots, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 0.01, 0.2, 0.5, math.sqrt(3) / 2, 0.9, 0.95])
+def test_quartic_roots_against_mpmath(tau):
+    # at tau = sqrt(3)/2 the bracket end 2 tau / 3 = 1/sqrt(3) is itself a root
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        exact = sorted(float(mpmath.re(z)) for z in mpmath.polyroots(
+            [t / 4, -2, 5 * t, -4 * t * t, t ** 3], maxsteps=200, extraprec=200))
+    assert bounds.quartic_roots(tau).roots == pytest.approx(exact, rel=1e-13)
 
 
 def test_vieta_identities_hold():

@@ -180,3 +180,9 @@ def test_diagram_explicit_paths_override_env(capsys, tmp_path, monkeypatch):
                             "--csv", str(csv_path), "--svg", str(svg_path)])["results"]
     assert csv_path.exists() and svg_path.exists()
     assert res["evaluated"] == 1
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_diagram_rejects_nonpositive_threads_as_usage_error(capsys, threads):
+    assert main(["diagram", "--family", "named", "--n", "1", "--threads", threads]) == 1
+    assert "--threads must be at least 1" in capsys.readouterr().err

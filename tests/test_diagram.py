@@ -216,3 +216,83 @@ def test_hard_bound_report_counts_violations_of_forged_points(t1_point):
     assert hb["band_violations"] == 1
     assert hb["box_violations"] == 1
     assert p.conjecture_candidate
+
+
+def test_degenerate_triangle_is_rejected():
+    with np.errstate(invalid="ignore", divide="ignore"):
+        angle = diagram._triangle_min_angle_deg(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+    assert not angle >= diagram._TRIANGLE_MIN_ANGLE_DEG
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("threads, cpus, expected", [
+    (5000, 8, [3]),          # capped by the sample count
+    (5000, 2, [2]),          # capped by the CPU count
+    (2, 8, [2]),
+    (5000, None, []),        # unknown CPU count: serial, no pool
+    (1, 8, []),
+])
+def test_pool_size_is_capped(monkeypatch, t1_point, threads, cpus, expected):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(diagram, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(diagram.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(diagram, "F_of_domain", lambda poly, hmax: t1_point.record)
+    result = run_campaign(Campaign(family="named", n=3, seed=0, hmax=0.1), threads=threads)
+    assert _RecordingPool.sizes == expected
+    assert len(result.points) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_rejected(threads):
+    with pytest.raises(ValueError):
+        run_campaign(Campaign(family="named", n=1, seed=0, hmax=0.1), threads=threads)
+
+
+def test_pool_and_serial_campaigns_give_identical_rows(monkeypatch, tmp_path):
+    monkeypatch.setattr(diagram.os, "cpu_count", lambda: 2)   # a real two-worker pool
+    rows = []
+    for threads in (1, 2):
+        path = tmp_path / f"t{threads}.csv"
+        run_campaign(Campaign(family="randomPolygon", n=3, seed=7, hmax=0.1,
+                              csv_path=str(path)), threads=threads)
+        rows.append(path.read_text().splitlines())
+    assert rows[0] == rows[1]
+    assert len([r for r in rows[0] if not r.startswith("#")]) == 4
+
+
+def triangle_min_angle_loop(pts):
+    """Per-corner loop form of the minimum angle, kept as the reference."""
+    angles = []
+    for i in range(3):
+        a, b = pts[(i + 1) % 3] - pts[i], pts[(i + 2) % 3] - pts[i]
+        cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        angles.append(math.acos(np.clip(cos, -1.0, 1.0)))
+    return math.degrees(min(angles))
+
+
+def test_triangle_min_angle_matches_loop_form():
+    rng = np.random.default_rng(9)
+    for _ in range(2000):
+        pts = rng.random((3, 2))
+        ref = triangle_min_angle_loop(pts)
+        angle = diagram._triangle_min_angle_deg(pts)
+        assert angle == pytest.approx(ref, abs=1e-7)
+        if abs(ref - diagram._TRIANGLE_MIN_ANGLE_DEG) > 1e-6:
+            assert (angle >= 5.0) == (ref >= 5.0)

@@ -160,3 +160,81 @@ def test_save_load_resolve_roundtrip(tmp_path):
 def test_regular_polygon_area_formula():
     hexagon = geom2d.regular_polygon(6, circumradius=2.0)
     assert geom2d.area(hexagon) == pytest.approx(0.5 * 6 * 4.0 * math.sin(math.pi / 3), rel=1e-12)
+
+
+def test_convex_hull_of_grid_keeps_only_corners():
+    xs, ys = np.meshgrid([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+    hull = geom2d.convex_hull(np.column_stack([xs.ravel(), ys.ravel()]))
+    assert hull.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+def test_convex_hull_drops_duplicates():
+    pts = np.array([[1, 0], [0, 0], [1, 0], [0, 1], [0, 0], [0.2, 0.2]], float)
+    assert geom2d.convex_hull(pts).tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [1, 1], [2, 2], [3, 3]],          # all collinear
+    [[0, 0], [1, 1], [0, 0], [1, 1]],          # two distinct points
+    [[0.5, 0.5]],
+])
+def test_convex_hull_rejects_degenerate_input(pts):
+    with pytest.raises(GeometryError):
+        geom2d.convex_hull(np.array(pts, float))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_convex_hull_is_ccw_from_lexicographic_minimum(seed):
+    pts = np.random.default_rng(seed).random((15, 2))
+    hull = geom2d.convex_hull(pts)
+    first = min(map(tuple, pts))
+    assert tuple(hull[0]) == first
+    assert np.all(geom2d._edge_crosses(hull) > 0)
+    ConvexPolygon(hull)   # strictly convex, counterclockwise
+
+
+def monotone_chain_hull(points):
+    """Andrew's monotone chain, the hull construction convex_hull replaced."""
+    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                       - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain
+
+    return np.array(half(pts)[:-1] + half(pts[::-1])[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 63), st.sampled_from([3, 4, 15, 60]))
+def test_convex_hull_matches_monotone_chain(seed, count):
+    pts = np.random.default_rng(seed).random((count, 2))
+    assert np.array_equal(geom2d.convex_hull(pts), monotone_chain_hull(pts))
+
+
+def thin_domain_loop(hplus, hminus, eps):
+    """The loop form of thin_domain's vertex ring and duplicate filter."""
+    xs = np.union1d(hplus.knots, hminus.knots)
+    top, bot = eps * hplus(xs), -eps * hminus(xs)
+    arr = np.array(list(zip(xs, bot)) + list(zip(xs[::-1], top[::-1])))
+    keep = np.ones(arr.shape[0], dtype=bool)
+    for i in range(arr.shape[0]):
+        if np.allclose(arr[i], arr[(i + 1) % arr.shape[0]], atol=1e-15):
+            keep[(i + 1) % arr.shape[0]] = False
+    return geom2d.prune_collinear(arr[keep])
+
+
+@pytest.mark.parametrize("name", ["tent:0.5", "tent:0.3", "const", "parabolic"])
+def test_thin_domain_matches_loop_form(name):
+    half = profiles.scale(profiles.resolve(name), 0.5)
+    for eps in (0.2, 0.05):
+        expected = thin_domain_loop(half, half, eps)
+        assert np.array_equal(geom2d.thin_domain(half, half, eps).vertices, expected)
+    lopsided = profiles.triangular(0.3)
+    assert np.array_equal(geom2d.thin_domain(lopsided, half, 0.1).vertices,
+                          thin_domain_loop(lopsided, half, 0.1))

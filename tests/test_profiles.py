@@ -153,3 +153,27 @@ def test_resolve_specs():
     assert np.allclose(profiles.resolve("parabolic")(x), 6 * x * (1 - x), atol=2e-6)
     with pytest.raises((ProfileError, ValueError, OSError)):
         profiles.resolve("no-such-profile")
+
+
+def pava_nonincreasing(y, w):
+    """Pool adjacent violators, the loop that project_concave's isotonic fit replaced."""
+    blocks = []                      # [mean, weight, count]
+    for yi, wi in zip(y, w):
+        blocks.append([yi, wi, 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            m2, w2, c2 = blocks.pop()
+            m1, w1, c1 = blocks.pop()
+            blocks.append([(m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
+    return np.repeat([b[0] for b in blocks], [b[2] for b in blocks])
+
+
+def test_isotonic_fit_matches_pava_loop():
+    from scipy.optimize import isotonic_regression
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        y = rng.normal(size=n) * 5.0
+        w = np.diff(np.sort(np.concatenate([[0.0, 1.0], rng.random(n - 1)])))
+        fit = isotonic_regression(y, weights=w, increasing=False).x
+        assert np.allclose(fit, pava_nonincreasing(y, w), rtol=0.0,
+                           atol=64 * np.finfo(float).eps * np.abs(y).max())
