@@ -47,10 +47,6 @@ def p_tau_scaled(tau: float, u):
     return 0.25 * (tau * u) ** 2 * u * u - (u - 1.0) ** 2 * (2.0 * u - 1.0)
 
 
-def _scaled_magnitude(tau: float, u: float) -> float:
-    return 0.25 * (tau * u) ** 2 * u * u + (u - 1.0) ** 2 * abs(2.0 * u - 1.0)
-
-
 def _root_in(tau: float, y_lo: float, y_hi: float) -> float:
     """Brent's method on the scaled quartic u = y / tau, to full precision."""
     u = optimize.brentq(lambda u: p_tau_scaled(tau, u), y_lo / tau, y_hi / tau,
@@ -101,7 +97,8 @@ def quartic_roots(tau: float) -> QuarticRoots:
     roots = np.array([_root_in(tau, lo, hi) for lo, hi in brackets])
     t3 = tau ** 3
     residuals = np.array([t3 * abs(p_tau_scaled(tau, y / tau)) for y in roots])
-    scales = np.array([t3 * _scaled_magnitude(tau, y / tau) for y in roots])
+    scales = (0.25 * tau * roots ** 4 + 2.0 * roots ** 3 + 5.0 * tau * roots ** 2
+              + 4.0 * tau ** 2 * roots + t3)
     return QuarticRoots(tau=tau, roots=roots, brackets=brackets,
                         residuals=residuals, scales=scales)
 

@@ -31,16 +31,14 @@ import numpy as np
 
 from . import bessel, bounds, geom2d, profiles
 from .fem2d import F_of_domain
-from .fem2d.functional import DomainRecord
+from .fem2d.functional import RECORD_COLUMNS, DomainRecord
 from .fem2d.mesh import _min_angle_deg
 from .geom2d import ConvexPolygon
 
 FAMILIES = ("randomPolygon", "randomTriangle", "randomQuadrilateral",
             "collapsingRectangle", "collapsingTent", "named")
 
-CSV_COLUMNS = ("id", "family", "seed", "area", "perimeter", "diameter",
-               "width", "inradius", "mu1", "sigma1", "x", "y", "F",
-               "dofs", "hmax")
+CSV_COLUMNS = ("id", "family", "seed") + RECORD_COLUMNS
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 X_LIMIT = 8.0 * math.pi
@@ -91,12 +89,9 @@ class DiagramPoint:
                                              r.perimeter)
 
     def as_row(self) -> str:
-        r = self.record
         vals = [self.id, self.family, str(self.seed)]
-        vals += [repr(float(v)) for v in (r.area, r.perimeter, r.diameter,
-                                          r.width, r.inradius, r.mu1, r.sigma1,
-                                          r.x, r.y, r.F)]
-        vals += [str(int(r.dofs)), repr(float(r.hmax))]
+        vals += [str(int(v)) if k == "dofs" else repr(float(v))
+                 for k, v in self.record.as_dict().items()]
         return ",".join(vals)
 
 
@@ -427,22 +422,19 @@ def emit_csv(points, path, metadata: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 900
-    height: int = 640
-    margin: int = 64
-    radius: float = 2.5
-    point_color: str = "#2b6cb0"
-    candidate_color: str = "#c53030"
-    reference_color: str = "#718096"
+SVG_WIDTH = 900
+SVG_HEIGHT = 640
+SVG_MARGIN = 64
+SVG_RADIUS = 2.5
+SVG_POINT_COLOR = "#2b6cb0"
+SVG_CANDIDATE_COLOR = "#c53030"
+SVG_REFERENCE_COLOR = "#718096"
 
 
-def emit_svg_scatter(points, path, style: SvgStyle | None = None) -> None:
+def emit_svg_scatter(points, path) -> None:
     """Dependency-free SVG scatter: one circle per point, frame with ticks,
     and the reference lines y = x, y = 2x bounding the conjectured band."""
-    st = style or SvgStyle()
-    w, h, m = st.width, st.height, st.margin
+    w, h, m = SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN
     px = lambda x: m + (x / X_LIMIT) * (w - 2 * m)
     py = lambda y: h - m - (y / Y_LIMIT) * (h - 2 * m)
 
@@ -458,11 +450,11 @@ def emit_svg_scatter(points, path, style: SvgStyle | None = None) -> None:
         x_end = Y_LIMIT / slope
         parts.append(
             f'<line x1="{px(0):.2f}" y1="{py(0):.2f}" x2="{px(x_end):.2f}" '
-            f'y2="{py(Y_LIMIT):.2f}" stroke="{st.reference_color}" '
+            f'y2="{py(Y_LIMIT):.2f}" stroke="{SVG_REFERENCE_COLOR}" '
             f'stroke-width="1" stroke-dasharray="6 4"/>')
         parts.append(
             f'<text x="{px(x_end) + 4:.2f}" y="{py(Y_LIMIT) + 12:.2f}" '
-            f'font-size="12" fill="{st.reference_color}">{label}</text>')
+            f'font-size="12" fill="{SVG_REFERENCE_COLOR}">{label}</text>')
     for k in range(5):
         xv, yv = X_LIMIT * k / 4.0, Y_LIMIT * k / 4.0
         parts.append(f'<line x1="{px(xv):.2f}" y1="{h - m}" x2="{px(xv):.2f}" '
@@ -479,9 +471,9 @@ def emit_svg_scatter(points, path, style: SvgStyle | None = None) -> None:
                  f'text-anchor="middle" transform="rotate(-90 18 {h / 2:.0f})">'
                  f'y = mu1 * |Omega|</text>')
     for p in points:
-        color = st.candidate_color if p.conjecture_candidate else st.point_color
+        color = SVG_CANDIDATE_COLOR if p.conjecture_candidate else SVG_POINT_COLOR
         parts.append(f'<circle cx="{px(p.x):.2f}" cy="{py(p.y):.2f}" '
-                     f'r="{st.radius}" fill="{color}" fill-opacity="0.75"/>')
+                     f'r="{SVG_RADIUS}" fill="{color}" fill-opacity="0.75"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts) + "\n")

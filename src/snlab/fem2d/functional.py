@@ -25,6 +25,10 @@ from .assemble import assemble
 from .mesh import polygon_mesh, thin_mesh
 from .solve import neumann_mu1, steklov_sigma1
 
+# the reported fields of a record, in output order (``as_dict``, the diagram CSV)
+RECORD_COLUMNS = ("area", "perimeter", "diameter", "width", "inradius",
+                  "mu1", "sigma1", "x", "y", "F", "dofs", "hmax")
+
 
 @dataclass(frozen=True)
 class DomainRecord:
@@ -47,9 +51,7 @@ class DomainRecord:
     warning: str | None = None
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "area", "perimeter", "diameter", "width", "inradius",
-            "mu1", "sigma1", "x", "y", "F", "dofs", "hmax")}
+        return {k: getattr(self, k) for k in RECORD_COLUMNS}
 
 
 def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:

@@ -8,7 +8,8 @@ the triangulated hull of the point set is the polygon itself.  Smoothing is a
 sparse product with the Delaunay adjacency matrix, and every edge question
 (boundary edges, refinement midpoints, sliver repair, P2 connectivity) is
 answered by one table of unique edges keyed by int64 ``lo * n + hi``.  The
-only Python loop left is sliver repair's walk over the boundary chords.
+Python loops left are sliver repair's walk over the boundary chords and the
+interior lattice's walk over its rows.
 
 Meshing happens in a canonical frame (centroid at the origin, unit area,
 longest edge aligned with the x-axis) and is mapped back, so congruent or
@@ -156,15 +157,15 @@ def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 
 def _boundary_ring(vertices: np.ndarray, h: float) -> np.ndarray:
-    pts = []
-    n = vertices.shape[0]
-    for i in range(n):
-        a, b = vertices[i], vertices[(i + 1) % n]
-        nseg = max(1, int(np.ceil(np.hypot(*(b - a)) / h)))
-        for k in range(nseg):          # omit b; the next edge supplies it
-            t = k / nseg
-            pts.append((1 - t) * a + t * b)
-    return np.array(pts)
+    """Each edge a -> b split into nseg pieces at t = k / nseg, k < nseg (the
+    next edge supplies b)."""
+    b = np.roll(vertices, -1, axis=0)
+    e = b - vertices
+    nseg = np.maximum(1, np.ceil(np.hypot(e[:, 0], e[:, 1]) / h).astype(np.int64))
+    edge = np.repeat(np.arange(vertices.shape[0]), nseg)
+    k = np.arange(edge.size) - np.repeat(np.cumsum(nseg) - nseg, nseg)
+    t = (k / nseg[edge])[:, None]
+    return (1 - t) * vertices[edge] + t * b[edge]
 
 
 def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Convex polygon geometry: hulls, functionals, thin domains, named shapes.
 
 Hulls come from qhull.  Functionals follow the classical algorithms: shoelace
-area, rotating calipers for diameter and width, Chebyshev center by linear
-programming for the inradius.  Thin domains are built from a pair of profiles
-as {(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
+area; diameter and width from one table of antipodal pairs (for each edge the
+vertex farthest from it, found by a sorted search of the edge angles, as in
+Toussaint's rotating calipers); Chebyshev center by linear programming for
+the inradius.  Thin domains are built from a pair of profiles as
+{(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
 result is convex and, since profiles are piecewise linear, the polygon is the
 exact domain rather than a sampling of it.
 """
@@ -114,53 +116,31 @@ def perimeter(p: ConvexPolygon) -> float:
     return float(np.hypot(e[:, 0], e[:, 1]).sum())
 
 
+def _antipodes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge vectors e_i = v_{i+1} - v_i and, for each edge, the first vertex
+    j(i) farthest from its line: the vertex whose outgoing edge is the first
+    to point at least opposite e_i."""
+    e = np.roll(v, -1, axis=0) - v
+    theta = np.unwrap(np.arctan2(e[:, 1], e[:, 0]))
+    # strictly convex and CCW: every turn is in (0, pi), so theta rises and spans < 2 pi
+    ext = np.concatenate([theta, theta + 2.0 * np.pi])
+    return e, np.searchsorted(ext, theta + np.pi, side="left") % v.shape[0]
+
+
 def diameter(p: ConvexPolygon) -> float:
-    """Largest vertex distance, by rotating calipers over antipodal pairs."""
+    """Largest vertex distance, over the antipodal pairs of every edge."""
     v = p.vertices
-    n = v.shape[0]
-    if n == 3:
-        d2 = max(float((v[i] - v[j]) @ (v[i] - v[j])) for i in range(3) for j in range(i))
-        return float(np.sqrt(d2))
-    best = 0.0
-    j = 1
-    for i in range(n):
-        edge = v[(i + 1) % n] - v[i]
-        # advance the antipodal vertex while the triangle area keeps growing
-        while True:
-            jn = (j + 1) % n
-            cur = edge[0] * (v[j][1] - v[i][1]) - edge[1] * (v[j][0] - v[i][0])
-            nxt = edge[0] * (v[jn][1] - v[i][1]) - edge[1] * (v[jn][0] - v[i][0])
-            if nxt > cur:
-                j = jn
-            else:
-                break
-        for k in (i, (i + 1) % n):
-            d = v[j] - v[k]
-            best = max(best, float(d @ d))
-    return float(np.sqrt(best))
+    _, j = _antipodes(v)
+    d = v[j] - np.stack([v, np.roll(v, -1, axis=0)])
+    return float(np.sqrt((d * d).sum(axis=-1).max()))
 
 
 def width(p: ConvexPolygon) -> float:
     """Smallest slab containing the polygon: min over edges of the support distance."""
     v = p.vertices
-    n = v.shape[0]
-    best = np.inf
-    j = 1
-    for i in range(n):
-        a = v[i]
-        edge = v[(i + 1) % n] - a
-        elen = float(np.hypot(edge[0], edge[1]))
-        while True:
-            jn = (j + 1) % n
-            cur = edge[0] * (v[j][1] - a[1]) - edge[1] * (v[j][0] - a[0])
-            nxt = edge[0] * (v[jn][1] - a[1]) - edge[1] * (v[jn][0] - a[0])
-            if nxt > cur:
-                j = jn
-            else:
-                break
-        cur = edge[0] * (v[j][1] - a[1]) - edge[1] * (v[j][0] - a[0])
-        best = min(best, cur / elen)
-    return float(best)
+    e, j = _antipodes(v)
+    d = v[j] - v
+    return float(((e[:, 0] * d[:, 1] - e[:, 1] * d[:, 0]) / np.hypot(e[:, 0], e[:, 1])).min())
 
 
 def inradius(p: ConvexPolygon) -> tuple[float, np.ndarray]:

@@ -23,6 +23,18 @@ def test_quartic_roots_certified_and_ordered(tau):
         assert lo - 1e-12 <= r <= hi + 1e-12
 
 
+@pytest.mark.parametrize("tau", [1e-6, 1e-3, 0.2, 0.5, 0.9])
+def test_quartic_root_residuals_are_rounding_against_term_magnitudes(tau):
+    """The scales are the sums of the quartic's term magnitudes, which stay
+    bounded away from zero at the root y ~ tau/2 where (2u - 1) vanishes."""
+    q = bounds.quartic_roots(tau)
+    y = q.roots
+    terms = np.abs([0.25 * tau * y ** 4, -2.0 * y ** 3, 5.0 * tau * y ** 2,
+                    -4.0 * tau ** 2 * y, np.full(4, tau ** 3)])
+    assert np.allclose(q.scales, terms.sum(axis=0), rtol=1e-15, atol=0.0)
+    assert np.all(q.residuals <= 64 * np.finfo(float).eps * q.scales)
+
+
 @pytest.mark.parametrize("tau", [0.05, 0.3, 0.7, 0.97])
 def test_quartic_roots_against_numpy_companion_oracle(tau):
     # 1/4 tau y^4 - 2 y^3 + 5 tau y^2 - 4 tau^2 y + tau^3

@@ -39,6 +39,15 @@ def test_point_coordinates_and_row_roundtrip(t1_point):
     assert float(fields[12]) == p.F
 
 
+def test_row_matches_the_column_by_column_formula(t1_point):
+    p, r = t1_point, t1_point.record
+    vals = [p.id, p.family, str(p.seed)]
+    vals += [repr(float(v)) for v in (r.area, r.perimeter, r.diameter, r.width,
+                                      r.inradius, r.mu1, r.sigma1, r.x, r.y, r.F)]
+    vals += [str(int(r.dofs)), repr(float(r.hmax))]
+    assert p.as_row() == ",".join(vals)
+
+
 def test_point_rejects_inconsistent_record(t1_point):
     broken = dataclasses.replace(t1_point.record, F=1.5 * t1_point.record.F)
     with pytest.raises(ValueError):

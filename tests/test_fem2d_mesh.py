@@ -278,6 +278,26 @@ def _assert_p2_matches_dict_route(mesh):
     assert np.array_equal(fine.triangles, ref_tris)
 
 
+def _boundary_ring_by_point_loop(vertices, h):
+    pts = []
+    n = vertices.shape[0]
+    for i in range(n):
+        a, b = vertices[i], vertices[(i + 1) % n]
+        nseg = max(1, int(np.ceil(np.hypot(*(b - a)) / h)))
+        for k in range(nseg):          # omit b; the next edge supplies it
+            t = k / nseg
+            pts.append((1 - t) * a + t * b)
+    return np.array(pts)
+
+
+def test_boundary_ring_matches_point_loop():
+    for family in diagram.FAMILIES:
+        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+            for h in (0.024, 0.1, 5.0):
+                assert np.array_equal(mesh_mod._boundary_ring(s.vertices, h),
+                                      _boundary_ring_by_point_loop(s.vertices, h))
+
+
 def _reference_polygons():
     out = [("collinear-cap", geom2d.random_hull(15, rng=np.random.default_rng(2926583794887213564)))]
     for family in diagram.FAMILIES:

@@ -1,13 +1,14 @@
 """Convex polygon functionals against brute-force oracles and exact shapes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snlab import geom2d, profiles
+from snlab import diagram, geom2d, profiles
 from snlab.geom2d import ConvexPolygon, GeometryError
 
 
@@ -238,3 +239,106 @@ def test_thin_domain_matches_loop_form(name):
     lopsided = profiles.triangular(0.3)
     assert np.array_equal(geom2d.thin_domain(lopsided, half, 0.1).vertices,
                           thin_domain_loop(lopsided, half, 0.1))
+
+
+# --- the rotating-caliper walks the antipodal table replaced, kept as references ---
+
+def diameter_walk(v: np.ndarray) -> float:
+    n = v.shape[0]
+    if n == 3:
+        d2 = max(float((v[i] - v[j]) @ (v[i] - v[j])) for i in range(3) for j in range(i))
+        return float(np.sqrt(d2))
+    best = 0.0
+    j = 1
+    for i in range(n):
+        edge = v[(i + 1) % n] - v[i]
+        # advance the antipodal vertex while the triangle area keeps growing
+        while True:
+            jn = (j + 1) % n
+            cur = edge[0] * (v[j][1] - v[i][1]) - edge[1] * (v[j][0] - v[i][0])
+            nxt = edge[0] * (v[jn][1] - v[i][1]) - edge[1] * (v[jn][0] - v[i][0])
+            if nxt > cur:
+                j = jn
+            else:
+                break
+        for k in (i, (i + 1) % n):
+            d = v[j] - v[k]
+            best = max(best, float(d @ d))
+    return float(np.sqrt(best))
+
+
+def width_walk(v: np.ndarray) -> float:
+    n = v.shape[0]
+    best = np.inf
+    j = 1
+    for i in range(n):
+        a = v[i]
+        edge = v[(i + 1) % n] - a
+        elen = float(np.hypot(edge[0], edge[1]))
+        while True:
+            jn = (j + 1) % n
+            cur = edge[0] * (v[j][1] - a[1]) - edge[1] * (v[j][0] - a[0])
+            nxt = edge[0] * (v[jn][1] - a[1]) - edge[1] * (v[jn][0] - a[0])
+            if nxt > cur:
+                j = jn
+            else:
+                break
+        cur = edge[0] * (v[j][1] - a[1]) - edge[1] * (v[j][0] - a[0])
+        best = min(best, cur / elen)
+    return float(best)
+
+
+def _strip(name, eps):
+    half = profiles.scale(profiles.resolve(name), 0.5)
+    return geom2d.thin_domain(half, half, eps)
+
+
+def _walk_cases():
+    cases = [(spec, geom2d.named(spec)) for spec in ("T1", "T2", "square", "rectangle:2:1",
+                                                     "rectangle:4:1")]
+    for family in ("randomTriangle", "randomQuadrilateral", "collapsingRectangle",
+                   "randomPolygon"):
+        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+            cases.append((s.id, ConvexPolygon(s.vertices)))
+    cases += [(f"{2 * k}-gon", geom2d.regular_polygon(2 * k)) for k in (2, 3, 4, 8, 33, 128)]
+    cases += [(f"hull-{s}", geom2d.random_hull(15, seed=s)) for s in range(40)]
+    cases += [(f"{name}-{eps}", _strip(name, eps)) for name in ("tent:0.5", "tent:0.3", "const")
+              for eps in (0.2, 0.1, 0.05)]
+    cases.append(("parabolic-0.2", _strip("parabolic", 0.2)))
+    return cases
+
+
+WALK_CASES = _walk_cases()
+
+
+@pytest.mark.parametrize("name, poly", WALK_CASES, ids=[n for n, _ in WALK_CASES])
+def test_antipodal_table_matches_caliper_walks(name, poly):
+    """Same antipodal pairs as the walks; only the rounding of |d|^2 may differ."""
+    for got, want in ((geom2d.diameter(poly), diameter_walk(poly.vertices)),
+                      (geom2d.width(poly), width_walk(poly.vertices))):
+        assert abs(got - want) <= 2 * np.spacing(want)
+
+
+@pytest.mark.parametrize("n", [16, 52, 66, 94, 150])
+def test_centrally_symmetric_polygons_match_brute_force(n):
+    """Every edge has an exactly antiparallel twin, so every antipode is a tie
+    that rounding decides; the caliper walk missed the longest chord here."""
+    for rot in np.linspace(0.0, np.pi, 16, endpoint=False):
+        th = 2.0 * np.pi * np.arange(n) / n + rot
+        poly = ConvexPolygon(np.stack([np.cos(th), 0.3 * np.sin(th)], axis=1))
+        for got, want in ((geom2d.diameter(poly), brute_diameter(poly.vertices)),
+                          (geom2d.width(poly), brute_width(poly.vertices))):
+            assert abs(got - want) <= 2 * np.spacing(want)
+
+
+def test_diameter_and_width_use_linear_memory():
+    strip = _strip("parabolic", 0.2)
+    assert strip.n == 4000
+    tracemalloc.start()
+    try:
+        geom2d.diameter(strip)
+        geom2d.width(strip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20      # an n x n float array would take 128 MB

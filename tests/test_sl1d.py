@@ -112,6 +112,27 @@ def test_kernel_oracle_converges_to_pi_squared_on_constant():
     assert abs(fine - PI2) < abs(coarse - PI2) / 8.0
 
 
+def kernel_oracle_dense(h, quad=640):
+    """The oracle with its former dense ``eigh`` top-eigenvalue solve."""
+    y = (np.arange(quad) + 0.5) / quad
+    k1 = sl1d._cumulative_t_over_h(h, y)
+    k2 = sl1d._cumulative_t_over_h(profiles.mirror(h), 1.0 - y[::-1])[::-1]
+    idx = np.arange(quad)
+    G = (k1[np.minimum.outer(idx, idx)] + k2[np.maximum.outer(idx, idx)]) / quad
+    G -= G.mean(axis=0, keepdims=True)
+    G -= G.mean(axis=1, keepdims=True)
+    return 1.0 / eigh(G, eigvals_only=True, subset_by_index=(quad - 1, quad - 1))[0]
+
+
+def test_kernel_oracle_lanczos_matches_dense_eigh():
+    rng = np.random.default_rng(123)
+    hs = [profiles.constant(), profiles.triangular(0.3)]
+    hs += [profiles.random_profile(rng, strictly_positive=True) for _ in range(6)]
+    for h in hs:
+        want = kernel_oracle_dense(h)
+        assert sl1d.sigma1_kernel_oracle(h) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_degenerate_inputs_rejected():
     with pytest.raises((sl1d.SolverError, profiles.ProfileError, ValueError)):
         sl1d.mu1(profiles.constant(), 1)
