@@ -79,10 +79,11 @@ def _report_to_dict(r: variations.VariationReport) -> dict:
 
 def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
-    rec = sl1d.f_record(h, args.elements)
+    grids = sl1d._grids(h, args.elements)          # the first grid is --elements itself
+    rec = sl1d.f_record(h, args.elements, pencils=grids[0][1])
     results = {k: v for k, v in rec.items() if k != "elements"}
-    results["mu1_extrapolated"], results["sigma1_extrapolated"] = (
-        sl1d.extrapolated_pair(h, args.elements))
+    results["mu1_extrapolated"] = sl1d.mu1_extrapolated(h, args.elements, grids=grids)
+    results["sigma1_extrapolated"] = sl1d.sigma1_extrapolated(h, args.elements, grids=grids)
     results["F_extrapolated"] = (results["mu1_extrapolated"] * h.integral()
                                  / results["sigma1_extrapolated"])
     if args.oracle:

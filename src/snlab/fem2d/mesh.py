@@ -2,14 +2,15 @@
 
 General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
-Delaunay triangulation, and a few rounds of Laplacian smoothing (with
-re-triangulation, so no element can invert).  Convexity makes Delaunay exact:
-the triangulated hull of the point set is the polygon itself.  Smoothing is a
-sparse product with the Delaunay adjacency matrix, and every edge question
-(boundary edges, refinement midpoints, sliver repair, P2 connectivity) is
-answered by one table of unique edges keyed by int64 ``lo * n + hi``.  The
-Python loops left are sliver repair's walk over the boundary chords and the
-interior lattice's walk over its rows.
+Delaunay triangulation, and a few rounds of Laplacian smoothing.  Convexity
+makes Delaunay exact: the triangulated hull of the point set is the polygon
+itself.  qhull triangulates the points before and after smoothing; in between
+the triangulation follows the points by vectorized Lawson edge flips, which
+keep it Delaunay (so no element can invert) at a fraction of a qhull call.
+Every edge question (smoothing neighbours, edge flips, boundary edges,
+refinement midpoints, sliver repair, P2 connectivity) is answered by one table
+of unique edges keyed by int64 ``lo * n + hi``.  The Python loop left is
+sliver repair's walk over the boundary chords.
 
 Meshing happens in a canonical frame (centroid at the origin, unit area,
 longest edge aligned with the x-axis) and is mapped back, so congruent or
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.spatial import Delaunay
 
 from ..geom2d import ConvexPolygon
@@ -44,6 +44,8 @@ QUALITY_FLOOR_DEG = 20.0
 QUALITY_MARGIN_DEG = 1.0
 # strip columns allowed, far above any solvable strip (about 1.6k at dx0 = 0.005)
 MAX_THIN_COLUMNS = 100_000
+_MAX_FLIP_SWEEPS = 20            # Lawson sweeps per smoothing round; campaign rounds need 0-1
+_INCIRCLE_TIE = 1e-12            # in-circle determinants this small against their terms are ties
 
 
 class MeshError(RuntimeError):
@@ -169,6 +171,8 @@ def _boundary_ring(vertices: np.ndarray, h: float) -> np.ndarray:
 
 
 def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.ndarray:
+    """Hexagonal lattice of spacing h over the bounding box, rows alternately
+    offset by h/4 and 3h/4, keeping the points at least ``clearance`` inside."""
     e = np.roll(vertices, -1, axis=0) - vertices
     normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
@@ -176,13 +180,11 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
     xmax, ymax = vertices.max(axis=0)
     dy = h * np.sqrt(3.0) / 2.0
     rows = np.arange(ymin + dy / 2, ymax, dy)
-    pts = []
-    for j, y in enumerate(rows):
-        xs = np.arange(xmin + (0.25 + 0.5 * (j % 2)) * h, xmax, h)
-        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
-    if not pts:
-        return np.empty((0, 2))
-    p = np.concatenate(pts)
+    even, odd = (np.arange(xmin + offset * h, xmax, h) for offset in (0.25, 0.75))
+    # rows take even and odd x-values in turn, so the x column is that pair cycled
+    sizes = np.resize([even.size, odd.size], rows.size)
+    p = np.stack([np.resize(np.concatenate([even, odd]), sizes.sum()),
+                  np.repeat(rows, sizes)], axis=1)
     # signed distance to each edge line; inside a convex polygon the minimum
     # over edges is the distance to the boundary
     d = np.min(np.einsum("pk,ek->pe", p, normals)
@@ -190,28 +192,99 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
     return p[d >= clearance]
 
 
+def _sliver_tol(pts: np.ndarray) -> tuple[float, float]:
+    """Diagonal of the bounding box, and the |2 * area| at or below which a
+    triangle of these points counts as flat."""
+    span = pts.max(axis=0) - pts.min(axis=0)
+    scale = float(np.hypot(*span))
+    return scale, 1e-10 * scale * scale
+
+
+def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
+    """True where d lies inside the circumcircle of the positive triangle
+    (a, b, c), by more than a tie: the in-circle determinant must exceed
+    ``_INCIRCLE_TIE`` times the sum of its terms' magnitudes."""
+    ad, bd, cd = pts[a] - pts[d], pts[b] - pts[d], pts[c] - pts[d]
+    lift = [np.einsum("ij,ij->i", v, v) for v in (ad, bd, cd)]
+    det = perm = 0.0
+    for lf, u, v in zip(lift, (bd, cd, ad), (cd, ad, bd)):
+        p, q = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
+        det = det + lf * (p - q)
+        perm = perm + lf * (np.abs(p) + np.abs(q))
+    return det > _INCIRCLE_TIE * perm
+
+
+def _lawson_flips(pts: np.ndarray, tris: np.ndarray, tol: float):
+    """Flip edges until the triangulation is Delaunay (Lawson, 1977).
+
+    ``tris`` must be positively oriented apart from flat triangles (|2 area|
+    <= ``tol``, the zero-area caps qhull puts on collinear hull points), whose
+    edges never flip.  An interior edge shared by (a, b, c) and (b, a, d)
+    fails when d lies inside the circumcircle of (a, b, c), and flipping it
+    gives (a, d, c) and (d, b, c).  Each sweep flips the edges that are the
+    lowest-index failing edge of both their triangles: an independent set,
+    never empty while an edge fails.  Returns the triangles and the unique
+    edges of ``_edge_table``; raises ``MeshError`` on an inverted triangle or
+    after ``_MAX_FLIP_SWEEPS`` sweeps.
+    """
+    n_tris = len(tris)
+    for _ in range(_MAX_FLIP_SWEEPS):
+        area2 = _signed_areas(pts, tris)
+        flat = np.abs(area2) <= tol
+        if np.any(area2[~flat] < 0):
+            raise MeshError("smoothing inverted a triangle")
+        _, uniq, inverse, first, _ = _edge_table(tris, len(pts))
+        # every directed row that is not its edge's first is the second row of
+        # an interior edge: (a, b) in triangle t1, (b, a) in t2
+        rows = np.arange(inverse.size)
+        second = rows[rows != first[inverse]]
+        edge = inverse[second]
+        k1, t1 = np.divmod(first[edge], n_tris)
+        k2, t2 = np.divmod(second, n_tris)
+        a, b, c = tris[t1, k1], tris[t1, (k1 + 1) % 3], tris[t1, (k1 + 2) % 3]
+        d = tris[t2, (k2 + 2) % 3]
+        fails = np.flatnonzero(~flat[t1] & ~flat[t2] & _incircle_fails(pts, a, b, c, d))
+        if fails.size == 0:
+            return tris, uniq
+        # flip each failing edge that is the lowest failing edge of both owners
+        e, s1, s2 = edge[fails], t1[fails], t2[fails]
+        lowest = np.full(n_tris, uniq.shape[0])
+        np.minimum.at(lowest, s1, e)
+        np.minimum.at(lowest, s2, e)
+        flip = fails[(lowest[s1] == e) & (lowest[s2] == e)]
+        tris = tris.copy()
+        tris[t1[flip]] = np.stack([a[flip], d[flip], c[flip]], axis=1)
+        tris[t2[flip]] = np.stack([d[flip], b[flip], c[flip]], axis=1)
+    raise MeshError(f"edge flips did not settle in {_MAX_FLIP_SWEEPS} sweeps")
+
+
 def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian smoothing: every point after the first ``n_fixed`` that has
-    Delaunay neighbours moves to their mean; re-triangulate after each round.
+    Delaunay neighbours moves to their mean, ``rounds`` times.
 
-    The neighbour sums are one product with the sparse adjacency matrix.  CSR
-    rows are summed in ``indptr`` order, the order in which ``np.mean`` over
-    the neighbour rows adds them, so the result equals the per-vertex mean
-    bit for bit (``np.add.reduceat`` does not).
+    qhull triangulates the input and the result.  Between those two calls
+    the triangulation follows the points by Lawson flips, which restore the
+    Delaunay property after each round; a round changes only a few edges.
+    Each round's neighbour sums come from the unique edges of the current
+    triangles, flat caps included, as qhull's ``vertex_neighbor_vertices``
+    would give them (in another summation order).
     """
     n = points.shape[0]
-    tri = Delaunay(points)
+    _, tol = _sliver_tol(points)
+    tris = _orient_ccw(points, np.asarray(Delaunay(points).simplices, dtype=np.int64))
     for _ in range(rounds):
-        indptr, indices = tri.vertex_neighbor_vertices
-        adj = sparse.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-        degree = np.diff(indptr)
+        tris, uniq = _lawson_flips(points, tris, tol)
+        # both directions of every edge, by (vertex, neighbour): each sum
+        # runs over the neighbours in ascending order
+        ends, other = np.divmod(np.sort(np.concatenate([uniq @ [n, 1], uniq @ [1, n]])), n)
+        degree = np.bincount(ends, minlength=n)
         move = degree > 0
         move[:n_fixed] = False
-        new = points.copy()
-        new[move] = (adj @ points)[move] / degree[move, None]
-        points = new
-        tri = Delaunay(points)
-    return points, tri.simplices
+        sums = np.stack([np.bincount(ends, weights=points[other, i], minlength=n)
+                         for i in range(2)], axis=1)
+        points = points.copy()
+        points[move] = sums[move] / degree[move, None]
+    return points, Delaunay(points).simplices
 
 
 def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -231,9 +304,7 @@ def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     triangle, corner by corner), so when a triangle backs two chords the same
     one is fanned first whatever order the table sorts them in.
     """
-    span = pts.max(axis=0) - pts.min(axis=0)
-    scale = float(np.hypot(*span))
-    tol = 1e-10 * scale * scale
+    scale, tol = _sliver_tol(pts)
     bad = np.abs(_signed_areas(pts, tris)) <= tol
     if not bad.any():
         return tris

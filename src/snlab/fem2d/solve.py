@@ -19,11 +19,14 @@ q_1, q_2, ... with
 
     beta_j q_{j+1} = OP q_j - alpha_j q_j - beta_{j-1} q_{j-1},
 
-reorthogonalized in full (two Gram-Schmidt passes per step), so that OP acts
-on the basis as the symmetric tridiagonal matrix T_j = tridiag(beta, alpha,
-beta).  After every step the eigenpairs (nu, y) of T_j give Ritz values, and
-the run stops as soon as the two largest satisfy ARPACK's default test
-(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
+reorthogonalized in full: after the recurrence, one classical Gram-Schmidt
+pass against the whole basis, repeated only when it leaves less than 1/sqrt(2)
+of the vector's W-norm (the test of Daniel, Gragg, Kaufman & Stewart, Math.
+Comp. 30, 1976), so that OP acts on the basis as the symmetric tridiagonal
+matrix T_j = tridiag(beta, alpha, beta).  After every step the eigenpairs
+(nu, y) of T_j give Ritz values, and the run stops as soon as the two largest
+satisfy ARPACK's default test (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
+1998)
 
     |beta_j y_j| <= eps |nu|,    eps the machine epsilon,
 
@@ -101,10 +104,19 @@ def _lanczos(solve, W, v0, kind: str):
         Q[j], WQ[j] = q / norm, wq / norm
         q = solve(WQ[j])
         alpha.append(q @ WQ[j])
-        for _ in range(2):
-            q -= (WQ[:j + 1] @ q) @ Q[:j + 1]
+        q -= alpha[-1] * Q[j]
+        if j:
+            q -= beta[-1] * Q[j - 1]
+        coef = WQ[:j + 1] @ q
+        q -= coef @ Q[:j + 1]
         wq = W @ q
         norm = np.sqrt(q @ wq)
+        # DGKS: repeat the pass when it left less than 1/sqrt(2) of the
+        # W-norm, whose square before it was norm^2 + |coef|^2
+        if norm * norm < coef @ coef:
+            q -= (WQ[:j + 1] @ q) @ Q[:j + 1]
+            wq = W @ q
+            norm = np.sqrt(q @ wq)
         if j:
             nu, S = eigh_tridiagonal(alpha, beta, check_finite=False)
             nu, S = nu[-2:], S[:, -2:]

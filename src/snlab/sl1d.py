@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 from scipy.linalg.lapack import dgtsv, dstebz
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import profiles
 from .profiles import ProfileH
@@ -322,9 +322,10 @@ def F_of_h(h: ProfileH, elements: int = 1024) -> float:
     return f_record(h, elements)["F"]
 
 
-def f_record(h: ProfileH, elements: int = 1024) -> dict:
-    """mu1, sigma1 and F with solver certificates, for reporting."""
-    pair = _pencils(h, elements)
+def f_record(h: ProfileH, elements: int = 1024, *, pencils=None) -> dict:
+    """mu1, sigma1 and F with solver certificates, for reporting; pass
+    ``pencils=_pencils(h, elements)`` to reuse an assembly."""
+    pair = pencils or _pencils(h, elements)
     m = mu1(h, elements, pencils=pair)
     s = sigma1(h, elements, pencils=pair)
     integ = h.integral()
@@ -396,7 +397,9 @@ def sigma1_kernel_oracle(h: ProfileH, quad: int = 640) -> float:
 
     Independent of the Galerkin route: midpoint discretization of the kernel,
     projection onto mean-zero vectors, Lanczos (``eigsh``) for the largest
-    eigenvalue; sigma1 is its reciprocal.
+    eigenvalue; sigma1 is its reciprocal.  The kernel matrix G_ij =
+    (k1[min(i, j)] + k2[max(i, j)]) / quad is never formed: its product with
+    a vector is four cumulative sums, O(quad) work and memory.
     """
     if quad < 16:
         raise ValueError("need at least 16 quadrature points")
@@ -404,14 +407,20 @@ def sigma1_kernel_oracle(h: ProfileH, quad: int = 640) -> float:
     k1 = _cumulative_t_over_h(h, y)
     hm = profiles.mirror(h)
     k2 = _cumulative_t_over_h(hm, 1.0 - y[::-1])[::-1]
-    idx = np.arange(quad)
-    G = k1[np.minimum.outer(idx, idx)] + k2[np.maximum.outer(idx, idx)]
-    G /= quad
-    # restrict to mean-zero functions: center rows and columns
-    G -= G.mean(axis=0, keepdims=True)
-    G -= G.mean(axis=1, keepdims=True)
+
+    def after(v):
+        # sums over j > i, accumulated from the right
+        return np.concatenate([np.cumsum(v[:0:-1])[::-1], [0.0]])
+
+    def centred_g(x):
+        # restrict to mean-zero functions: P G P with P the centring projector
+        x = x.ravel() - x.mean()
+        gx = (np.cumsum(k1 * x) + k2 * np.cumsum(x) + k1 * after(x) + after(k2 * x)) / quad
+        return gx - gx.mean()
+
+    op = LinearOperator((quad, quad), matvec=centred_g, dtype=float)
     # the constants span G's kernel, so the seed must not be constant
-    lam_max = float(eigsh(G, k=1, which="LA", v0=y - 0.5, return_eigenvectors=False)[0])
+    lam_max = float(eigsh(op, k=1, which="LA", v0=y - 0.5, return_eigenvectors=False)[0])
     if not lam_max > 0:
         raise SolverError("kernel operator has no positive eigenvalue")
     return 1.0 / lam_max

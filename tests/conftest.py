@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from snlab import geom2d
-from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1
+from snlab import diagram, geom2d, profiles
+from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1, thin_mesh
 
 
 def solve_shape(spec: str, hmax: float) -> dict:
@@ -21,6 +21,36 @@ def solve_shape(spec: str, hmax: float) -> dict:
         "y": mu.eigenvalue * geo.area,
         "F": mu.eigenvalue * geo.area / (sg.eigenvalue * geo.perimeter),
     }
+
+
+def drift_corpus() -> dict:
+    """The corpus on which changes to meshing or solving measure their drift:
+    name -> zero-argument function that meshes the domain.
+
+    - 100 polygons at hmax 0.03: 40 seed-7 randomPolygon samples, named
+      ``seed7-randomPolygon-0000`` ..., and 12 seed-3 samples of each other
+      family, named by their campaign ids;
+    - the nine strips of the ``thin`` benchmark workload, halves of tent 0.5,
+      tent 0.3 and the constant at eps 0.2, 0.1 and 0.05, dx0 0.005;
+    - the parabolic strip at eps 0.2, dx0 0.005 (36k dofs).
+    """
+    corpus = {}
+    campaigns = [("seed7-", diagram.Campaign("randomPolygon", 40, seed=7, hmax=0.03))]
+    campaigns += [("", diagram.Campaign(family, 12, seed=3, hmax=0.03))
+                  for family in diagram.FAMILIES if family != "randomPolygon"]
+    for prefix, campaign in campaigns:
+        for s in diagram._sample_shapes(campaign):
+            poly = geom2d.ConvexPolygon(s.vertices)
+            corpus[prefix + s.id] = lambda poly=poly, hmax=s.hmax: polygon_mesh(poly, hmax)
+    halves = {"tent0.5": profiles.triangular(0.5), "tent0.3": profiles.triangular(0.3),
+              "constant": profiles.constant(), "parabolic": profiles.resolve("parabolic")}
+    strips = [(label, eps) for label in ("tent0.5", "tent0.3", "constant")
+              for eps in (0.2, 0.1, 0.05)] + [("parabolic", 0.2)]
+    for label, eps in strips:
+        half = profiles.scale(halves[label], 0.5)
+        corpus[f"strip-{label}-{eps}"] = lambda half=half, eps=eps: thin_mesh(
+            half, half, eps, dx0=0.005)
+    return corpus
 
 
 @pytest.fixture(scope="session")

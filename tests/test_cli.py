@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from snlab import __version__, bessel
+from snlab import __version__, bessel, profiles, sl1d
 from snlab.cli import main
 
 PI2 = math.pi ** 2
@@ -83,6 +83,25 @@ def test_f1d_json_reports_solver_certificates(capsys):
     for q in ("mu1", "sigma1"):
         assert 0.0 < res[f"{q}_residual"] <= 1e-9
         assert 1 <= res[f"{q}_iterations"] <= 8
+
+
+def test_f1d_assembles_each_grid_once(capsys, monkeypatch):
+    """f1d's raw solve and the first Richardson grid share one assembly."""
+    sizes = []
+    assemble = sl1d._assemble
+
+    def counting_assemble(h, n):
+        sizes.append(n)
+        return assemble(h, n)
+
+    monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
+    res = run_json(capsys, ["f1d", "--profile", "tent:0.5", "--elements", "512"])["results"]
+    assert sorted(sizes) == [128, 256, 512]
+    tent = profiles.triangular(0.5)
+    rec = sl1d.f_record(tent, 512)
+    assert (res["mu1"], res["sigma1"]) == (rec["mu1"], rec["sigma1"])
+    assert (res["mu1_extrapolated"], res["sigma1_extrapolated"]) == (
+        sl1d.extrapolated_pair(tent, 512))
 
 
 def test_f1d_parabolic_star_sigma(capsys):

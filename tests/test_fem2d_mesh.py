@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import drift_corpus
 
 from snlab import diagram, geom2d, profiles
 from snlab.fem2d import mesh as mesh_mod
@@ -290,6 +291,34 @@ def _boundary_ring_by_point_loop(vertices, h):
     return np.array(pts)
 
 
+def _interior_lattice_by_row_loop(vertices, h, clearance):
+    e = np.roll(vertices, -1, axis=0) - vertices
+    normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    xmin, ymin = vertices.min(axis=0)
+    xmax, ymax = vertices.max(axis=0)
+    dy = h * np.sqrt(3.0) / 2.0
+    rows = np.arange(ymin + dy / 2, ymax, dy)
+    pts = []
+    for j, y in enumerate(rows):
+        xs = np.arange(xmin + (0.25 + 0.5 * (j % 2)) * h, xmax, h)
+        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
+    if not pts:
+        return np.empty((0, 2))
+    p = np.concatenate(pts)
+    d = np.min(np.einsum("pk,ek->pe", p, normals)
+               - np.einsum("ek,ek->e", normals, vertices), axis=1)
+    return p[d >= clearance]
+
+
+def test_interior_lattice_matches_row_loop():
+    for family in diagram.FAMILIES:
+        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+            for h in (0.024, 0.1, 0.7, 5.0):
+                assert np.array_equal(mesh_mod._interior_lattice(s.vertices, h, 0.44 * h),
+                                      _interior_lattice_by_row_loop(s.vertices, h, 0.44 * h))
+
+
 def test_boundary_ring_matches_point_loop():
     for family in diagram.FAMILIES:
         for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
@@ -311,15 +340,26 @@ def _reference_polygons():
 REFERENCE_POLYGONS = _reference_polygons()
 
 
+def _triangle_set(tris):
+    return {frozenset(t) for t in np.asarray(tris).tolist()}
+
+
 @pytest.mark.parametrize("name, poly", REFERENCE_POLYGONS, ids=[n for n, _ in REFERENCE_POLYGONS])
 def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch):
+    """Smoothing sums each vertex's neighbours in ascending order, the loop
+    in qhull's order, so the points agree to rounding (4 ulp of the largest
+    coordinate).  qhull fans the flat caps on collinear hull points either
+    way for points that differ in the last bits, so the triangles agree as a
+    set once sliver repair has removed the caps; sliver repair and P2
+    connectivity stay bit-identical."""
     smooth, repair = mesh_mod._smooth, mesh_mod._repair_slivers
     seen = []
 
     def checked_smooth(points, n_fixed, rounds):
         got = smooth(points, n_fixed, rounds)
         want = _smooth_by_vertex_loop(points, n_fixed, rounds)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.abs(got[0] - want[0]).max() <= 4 * np.spacing(np.abs(want[0]).max())
+        assert _triangle_set(repair(*got)) == _triangle_set(repair(*want))
         return got
 
     def checked_repair(pts, tris):
@@ -333,6 +373,82 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     mesh = polygon_mesh(poly, 0.03)
     assert seen
     _assert_p2_matches_dict_route(mesh)
+
+
+# thin rectangle whose cocircular boundary quads flip back and forth without the tie rule
+TIE_CASE = "collapsingRectangle-0008"
+FLIP_CASES = REFERENCE_POLYGONS + [(TIE_CASE, None)]
+
+
+@pytest.mark.parametrize("name, poly", FLIP_CASES, ids=[n for n, _ in FLIP_CASES])
+def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, monkeypatch):
+    """Before each round's neighbour sums, the free vertices have the
+    neighbours that a fresh qhull call on the current points gives them."""
+    flips, smooth = mesh_mod._lawson_flips, mesh_mod._smooth
+    fixed, rounds = [], []
+
+    def recording_smooth(points, n_fixed, n_rounds):
+        fixed.append(n_fixed)
+        return smooth(points, n_fixed, n_rounds)
+
+    def recording_flips(pts, tris, tol):
+        out = flips(pts, tris, tol)
+        rounds.append((pts.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(mesh_mod, "_smooth", recording_smooth)
+    monkeypatch.setattr(mesh_mod, "_lawson_flips", recording_flips)
+    if poly is None:
+        drift_corpus()[name]()
+    else:
+        polygon_mesh(poly, 0.03)
+    assert len(rounds) == 4
+    for pts, tris in rounds:
+        free = range(fixed[0], len(pts))
+        got = [set() for _ in pts]
+        for a, b in mesh_mod._edge_table(tris, len(pts))[1].tolist():
+            got[a].add(b)
+            got[b].add(a)
+        indptr, indices = mesh_mod.Delaunay(pts).vertex_neighbor_vertices
+        assert [got[v] for v in free] == [set(indices[indptr[v]:indptr[v + 1]].tolist())
+                                          for v in free]
+
+
+def test_polygon_mesh_calls_qhull_twice(monkeypatch):
+    calls = []
+    delaunay = mesh_mod.Delaunay
+
+    def counting_delaunay(points):
+        calls.append(len(points))
+        return delaunay(points)
+
+    monkeypatch.setattr(mesh_mod, "Delaunay", counting_delaunay)
+    polygon_mesh(REFERENCE_POLYGONS[1][1], 0.03)
+    assert len(calls) == 2
+
+
+def test_flip_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(mesh_mod, "_MAX_FLIP_SWEEPS", 0)
+    with pytest.raises(MeshError, match="did not settle in 0 sweeps"):
+        polygon_mesh(geom2d.named("T1"), 0.1)
+
+
+def test_lawson_flips_on_one_quad():
+    """The diagonal b-c of the quad a, b, d, c flips to a-d when d lies in the
+    circumcircle of (a, b, c); an exact tie or a flat owner flips nothing,
+    and an inverted triangle raises."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
+    tris = np.array([[0, 1, 2], [1, 3, 2]])
+    got, uniq = mesh_mod._lawson_flips(pts, tris, 1e-12)
+    assert _triangle_set(got) == {frozenset((0, 1, 3)), frozenset((0, 3, 2))}
+    assert np.all(mesh_mod._signed_areas(pts, got) > 0)
+    assert (0, 3) in set(map(tuple, uniq.tolist()))
+    square = pts.copy()
+    square[3] = [1.0, 1.0]
+    assert np.array_equal(mesh_mod._lawson_flips(square, tris, 1e-12)[0], tris)
+    assert np.array_equal(mesh_mod._lawson_flips(pts, tris, 2.0)[0], tris)
+    with pytest.raises(MeshError, match="inverted"):
+        mesh_mod._lawson_flips(pts, tris[:, ::-1], 1e-12)
 
 
 def test_sliver_repair_visits_chords_in_triangle_order():

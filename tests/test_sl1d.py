@@ -1,6 +1,7 @@
 """1D weighted eigenvalue solvers: exact values, convergence, dual oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def test_kernel_oracle_lanczos_matches_dense_eigh():
     for h in hs:
         want = kernel_oracle_dense(h)
         assert sl1d.sigma1_kernel_oracle(h) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_kernel_oracle_memory_is_linear_in_quad():
+    """The kernel matrix is applied by cumulative sums, never formed: at quad
+    2560 a dense G would take 52 MB."""
+    tracemalloc.start()
+    try:
+        sl1d.sigma1_kernel_oracle(profiles.triangular(0.3), quad=2560)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_degenerate_inputs_rejected():
