@@ -20,6 +20,7 @@ constant K < 3.52, hence F <= 2 (1 + K) <= 9.04 uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import optimize
@@ -139,8 +140,10 @@ def lower_bound_branches(delta: float) -> tuple[float, float]:
     return np.pi ** 2 / (6.0 * delta), delta * delta * np.pi ** 2 / 108.0
 
 
+@cache
 def upper_bound_constant(grid: int = 1000) -> float:
-    """2 (1 + K): the uniform upper bound for F on convex domains."""
+    """2 (1 + K): the uniform upper bound for F on convex domains, computed
+    once per ``grid``."""
     K, _ = constant_K(grid)
     return 2.0 * (1.0 + K)
 

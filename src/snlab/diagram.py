@@ -46,6 +46,7 @@ Y_LIMIT = math.pi * bessel.j1prime_first_zero() ** 2
 
 _NAMED_SPECS = ("T1", "T2", "square", "disk:256", "rectangle:2:1", "rectangle:4:1")
 _TRIANGLE_MIN_ANGLE_DEG = 5.0
+_X_BINS = 12                     # fixed-x bins of the rectangle report
 
 
 class CampaignFailure(RuntimeError):
@@ -311,16 +312,16 @@ def conjecture_report(points) -> dict:
     return report
 
 
-def _rectangle_bin_report(points, n_bins: int = 12) -> list:
+def _rectangle_bin_report(points) -> list:
     """Minimum of y over fixed-x bins, and whether a rectangle attains it."""
     xs = np.array([p.x for p in points])
     lo, hi = float(xs.min()), float(xs.max())
     if hi <= lo:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, n_bins + 1)
+    edges = np.linspace(lo, hi, _X_BINS + 1)
     out = []
-    for b in range(n_bins):
-        last = b == n_bins - 1
+    for b in range(_X_BINS):
+        last = b == _X_BINS - 1
         mask = (xs >= edges[b]) & ((xs <= edges[b + 1]) if last else (xs < edges[b + 1]))
         idx = np.nonzero(mask)[0]
         if idx.size == 0:

@@ -111,14 +111,13 @@ class ThinSweep:
 
 
 def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
-               dx0: float = 0.005, layers: int = 4,
-               elements_1d: int = 2048) -> ThinSweep:
+               dx0: float = 0.005, elements_1d: int = 2048) -> ThinSweep:
     eps_arr = tuple(float(e) for e in eps_list)
     if len(eps_arr) < 3 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("need a decreasing list of at least three eps values")
     mu_seq, sg_seq, scaled_seq, f_seq = [], [], [], []
     for eps in eps_arr:
-        mesh = thin_mesh(hplus, hminus, eps, dx0=dx0, layers=layers)
+        mesh = thin_mesh(hplus, hminus, eps, dx0=dx0)
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
         rec = record_from_mesh(mesh, geo)
         mu_seq.append(rec.mu1)

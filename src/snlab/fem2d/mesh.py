@@ -46,6 +46,7 @@ QUALITY_MARGIN_DEG = 1.0
 MAX_THIN_COLUMNS = 100_000
 _MAX_FLIP_SWEEPS = 20            # Lawson sweeps per smoothing round; campaign rounds need 0-1
 _INCIRCLE_TIE = 1e-12            # in-circle determinants this small against their terms are ties
+_SMOOTH_ROUNDS = 4               # smoothing rounds per polygon mesh
 
 
 class MeshError(RuntimeError):
@@ -115,8 +116,10 @@ def _edge_table(tris: np.ndarray, n_nodes: int):
     """
     edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     key = edges.min(axis=1).astype(np.int64) * n_nodes + edges.max(axis=1)
-    ukey, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True)
+    # the first occurrence is taken by a minimum, so the sort need not be stable
+    ukey, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    first = np.full(ukey.size, key.size)
+    np.minimum.at(first, inverse, np.arange(key.size))
     if counts.max() > 2:
         raise MeshError("non-manifold edge")
     uniq = np.stack(np.divmod(ukey, n_nodes), axis=1)
@@ -358,7 +361,7 @@ def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return out
 
 
-def polygon_mesh(poly: ConvexPolygon, hmax: float, smooth_rounds: int = 4) -> TriangleMesh:
+def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
     """Isotropic mesh of a convex polygon with target element size ``hmax``.
 
     The achieved maximum edge (see ``TriangleMesh.hmax``) tracks the target to
@@ -386,7 +389,7 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float, smooth_rounds: int = 4) -> Tr
     ring = _boundary_ring(canon, 0.8 * h)
     inner = _interior_lattice(canon, 0.8 * h, clearance=0.44 * h)
     pts = np.concatenate([ring, inner]) if inner.size else ring
-    pts, simplices = _smooth(pts, ring.shape[0], smooth_rounds)
+    pts, simplices = _smooth(pts, ring.shape[0], _SMOOTH_ROUNDS)
     tris = _repair_slivers(pts, np.asarray(simplices, dtype=np.int64))
     tris = _orient_ccw(pts, tris)
 

@@ -70,9 +70,6 @@ class FEMError(RuntimeError):
 @dataclass(frozen=True)
 class EigenPair2D:
     eigenvalue: float
-    kind: str                    # "neumann" | "steklov"
-    dofs: int
-    h_max: float
     residual: float
     eigenvector: np.ndarray = field(repr=False, compare=False, default=None)
     iterations: int = 0          # operator applications, the start included
@@ -149,8 +146,7 @@ def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenP
     res = _relative_residual(K, W, lam, vec)
     if res > RESIDUAL_TOL:
         raise FEMError(f"{kind} residual {res:.2e} above {RESIDUAL_TOL}")
-    return EigenPair2D(eigenvalue=lam, kind=kind, dofs=system.n_dofs,
-                       h_max=system.mesh.hmax(), residual=res, eigenvector=vec,
+    return EigenPair2D(eigenvalue=lam, residual=res, eigenvector=vec,
                        iterations=steps, lu_nnz=lu.L.nnz + lu.U.nnz)
 
 

@@ -184,8 +184,7 @@ def functionals(p: ConvexPolygon) -> GeometryFunctionals:
                                diameter=diameter(p), width=width(p), inradius=r)
 
 
-def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float,
-                samples: int | None = None) -> ConvexPolygon:
+def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float) -> ConvexPolygon:
     """Convex polygon between eps*hplus above and eps*hminus below [0, 1].
 
     Both profiles must be concave and nonnegative, and at least one of
@@ -195,8 +194,6 @@ def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float,
     if eps <= 0:
         raise GeometryError("thickness must be positive")
     xs = np.union1d(hplus.knots, hminus.knots)
-    if samples is not None and samples > 2:
-        xs = np.union1d(xs, np.linspace(0.0, 1.0, samples))
     arr = np.vstack([np.column_stack([xs, -eps * hminus(xs)]),
                      np.column_stack([xs[::-1], (eps * hplus(xs))[::-1]])])
     # drop consecutive duplicates (degenerate tips where both chains meet)

@@ -18,6 +18,7 @@ from scipy.optimize import isotonic_regression
 
 CONCAVITY_TOL = 1e-12
 NONNEG_TOL = 1e-12
+_PROJECT_ROUNDS = 100            # alternations allowed in project_concave
 
 
 class ProfileError(ValueError):
@@ -202,7 +203,7 @@ def positivity_constant(h: ProfileH) -> float:
     return float(min(cands))
 
 
-def project_concave(values, knots=None, max_rounds: int = 100) -> ProfileH:
+def project_concave(values, knots=None) -> ProfileH:
     """Nearest concave nonnegative profile to the given ordinates.
 
     Slopes are made nonincreasing by a weighted ``isotonic_regression`` (pool
@@ -221,7 +222,7 @@ def project_concave(values, knots=None, max_rounds: int = 100) -> ProfileH:
         return probe
     dx = np.diff(knots)
     v = values.copy()
-    for _ in range(max_rounds):
+    for _ in range(_PROJECT_ROUNDS):
         s = np.diff(v) / dx
         s_fit = isotonic_regression(s, weights=dx, increasing=False).x
         shape = np.concatenate([[0.0], np.cumsum(s_fit * dx)])

@@ -9,12 +9,15 @@ Two eigenvalue problems share the stiffness form integral(h u' v'):
 
 Discretization is P1 on a uniform grid with the piecewise-linear weight
 integrated exactly (segments split at the profile knots, two-point Gauss on
-each cubic integrand).  The first nonzero eigenvalue comes from the pencil
-with the constant mode deflated in the mass inner product: two steps of
-shifted inverse iteration warm-start a Rayleigh-quotient iteration on LAPACK
-tridiagonal solves, its shift nudged off exactly singular pivots, about four
-solves in all (``SpectralResult.iterations``).  The residual certifies the
-eigenpair, and a Sturm count (inertia of A - 0.999 lam B) that it is the first.
+each cubic integrand).  The solver sees only the pencil's tridiagonals A and
+B.  With the constant mode deflated in the B inner product, two shifted
+inverse-iteration steps warm-start a Rayleigh-quotient iteration; every step
+is one LAPACK tridiagonal solve, its shift nudged off exactly singular
+pivots, about four in all (``SpectralResult.iterations``).  Only A's form is
+summed cancellation-free, from the element weight integrals, since its O(n^2)
+entries cancel on smooth vectors; B's form is z^T B z.  The residual
+certifies the eigenpair, and a Sturm count (inertia of A - 0.999 lam B) that
+it is the first.
 
 An independent route for sigma1 discretizes the equivalent integral operator
 with Green kernel
@@ -31,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
 from scipy.linalg.lapack import dgtsv, dstebz
 from scipy.sparse.linalg import LinearOperator, eigsh
 
@@ -59,15 +61,21 @@ class SpectralResult:
     iterations: int
 
 
+def _tridiag_mul(main, off, z):
+    """Product of the symmetric tridiagonal (main, off) with z."""
+    out = main * z
+    out[:-1] += off * z[1:]
+    out[1:] += off * z[:-1]
+    return out
+
+
 @dataclass(frozen=True)
 class _Pencil:
-    """Tridiagonal stiffness/mass pair plus cancellation-free quadratic forms.
+    """Tridiagonal stiffness/mass pair (A, B) of one weighted problem.
 
-    ``stiff_w`` holds the per-element weight integrals; the mass form is kept
-    as its defining Gauss sum (element index, coefficient w*h(g), hat values
-    at g), so both Rayleigh forms are sums of nonnegative terms.  The
-    tridiagonal matvec (entries of size n^2) is used only for directions and
-    residuals, never for the reported eigenvalue.
+    A's entries are of size n^2 and its matvec cancels on smooth vectors, so
+    A's form sums the per-element weight integrals ``stiff_w`` instead; B is
+    a well-conditioned mass matrix and its form is z^T B z.
     """
 
     a_main: np.ndarray
@@ -75,31 +83,20 @@ class _Pencil:
     b_main: np.ndarray
     b_off: np.ndarray
     stiff_w: np.ndarray
-    g_elem: np.ndarray
-    g_coef: np.ndarray
-    g_phi_l: np.ndarray
-    g_phi_r: np.ndarray
     n: int
 
     def amat(self, z):
-        out = self.a_main * z
-        out[:-1] += self.a_off * z[1:]
-        out[1:] += self.a_off * z[:-1]
-        return out
+        return _tridiag_mul(self.a_main, self.a_off, z)
 
     def bmat(self, z):
-        out = self.b_main * z
-        out[:-1] += self.b_off * z[1:]
-        out[1:] += self.b_off * z[:-1]
-        return out
+        return _tridiag_mul(self.b_main, self.b_off, z)
 
     def a_form(self, z):
         slope = (z[1:] - z[:-1]) * self.n
         return float(np.dot(self.stiff_w, slope * slope))
 
     def b_form(self, z):
-        zg = z[self.g_elem] * self.g_phi_l + z[self.g_elem + 1] * self.g_phi_r
-        return float(np.dot(self.g_coef, zg * zg))
+        return float(z @ self.bmat(z))
 
 
 def _assemble(h: ProfileH, n: int):
@@ -122,51 +119,38 @@ def _assemble(h: ProfileH, n: int):
     length = b - a
 
     # stiffness needs only the weight integral per element (gradients constant)
-    seg_int = 0.5 * (h(a) + h(b)) * length
-    acc = np.zeros(n)
-    np.add.at(acc, e, seg_int)
+    acc = np.bincount(e, weights=0.5 * (h(a) + h(b)) * length, minlength=n)
     inv_dx2 = float(n) * float(n)
-    a_main = np.zeros(n + 1)
-    a_main[:-1] += acc
-    a_main[1:] += acc
-    a_main *= inv_dx2
+    a_main = (np.concatenate([acc, [0.0]]) + np.concatenate([[0.0], acc])) * inv_dx2
     a_off = -acc * inv_dx2
 
-    xl = grid[e]
     half = 0.5 * length
     gauss_x = np.concatenate([mid - half * _INV_SQRT3, mid + half * _INV_SQRT3])
     g_elem = np.concatenate([e, e])
     g_w = np.concatenate([half, half])
-    g_phi_r = (gauss_x - np.concatenate([xl, xl])) * n
+    g_phi_r = (gauss_x - grid[g_elem]) * n
     g_phi_l = 1.0 - g_phi_r
 
     def mass_pencil(hg):
         coef = g_w * hg
-        mLL = np.zeros(n)
-        mRR = np.zeros(n)
-        mLR = np.zeros(n)
-        np.add.at(mLL, g_elem, coef * g_phi_l * g_phi_l)
-        np.add.at(mRR, g_elem, coef * g_phi_r * g_phi_r)
-        np.add.at(mLR, g_elem, coef * g_phi_l * g_phi_r)
-        b_main = np.zeros(n + 1)
-        b_main[:-1] += mLL
-        b_main[1:] += mRR
-        return _Pencil(a_main, a_off, b_main, mLR, acc,
-                       g_elem, coef, g_phi_l, g_phi_r, n)
+        mLL, mRR, mLR = (np.bincount(g_elem, weights=coef * u * v, minlength=n)
+                         for u, v in ((g_phi_l, g_phi_l), (g_phi_r, g_phi_r),
+                                      (g_phi_l, g_phi_r)))
+        b_main = np.concatenate([mLL, [0.0]]) + np.concatenate([[0.0], mRR])
+        return _Pencil(a_main, a_off, b_main, mLR, acc, n)
 
-    interior = mass_pencil(h(gauss_x))
-    boundary = mass_pencil(np.ones_like(gauss_x))
-    return interior, boundary
+    return mass_pencil(h(gauss_x)), mass_pencil(np.ones_like(gauss_x))
 
 
 def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> SpectralResult:
     """Smallest nonzero eigenvalue of the pencil with constants deflated.
 
-    Each step maps z to deflate(T^-1 B z), B-normalised; the cancellation-free
-    forms alone give the reported eigenvalue.  The first ``_WARM_STEPS`` use
-    T = A + cB (one banded Cholesky factor), then Rayleigh-quotient iteration
-    takes T = A - lam B (``_shifted_solve``).  The result has passed the
-    inertia certificate; ``iterations`` counts the solves, warm start included.
+    Each step maps z to deflate(T^-1 B z), B-normalised, with one tridiagonal
+    solve (``_shifted_solve``): the first ``_WARM_STEPS`` take T = A + cB,
+    then Rayleigh-quotient iteration takes T = A - lam B.  The reported
+    eigenvalue is A's cancellation-free form of the B-normalised vector.  The
+    result has passed the inertia certificate; ``iterations`` counts the
+    solves, warm start included.
     """
     n_dofs = p.a_main.size
     ones = np.ones(n_dofs)
@@ -187,25 +171,13 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> Spectral
     rng = np.random.default_rng(0xC0FFEE)
     z = smooth + 1e-2 * deflate(rng.standard_normal(n_dofs))
     z /= np.sqrt(p.b_form(z))
-    ab = np.zeros((2, n_dofs))
-    ab[0, 1:] = p.a_off + c * p.b_off
-    ab[1, :] = p.a_main + c * p.b_main
-    try:
-        cb = cholesky_banded(ab)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"shifted pencil not positive definite: {exc}") from exc
 
     eps = np.finfo(float).eps
     lam_old = np.inf
     stagnant = 0
-    lam = 0.0
     res = np.inf
     for it in range(1, max_iter + 1):
-        if it <= _WARM_STEPS:
-            y = cho_solve_banded((cb, False), p.bmat(z))
-        else:
-            y = _shifted_solve(p, lam, p.bmat(z))
-        y = deflate(y)
+        y = deflate(_shifted_solve(p, -c if it <= _WARM_STEPS else lam, p.bmat(z)))
         norm = np.sqrt(max(p.b_form(y), 0.0))
         if not norm > 0:
             raise SolverError("iteration collapsed onto the deflated subspace")
@@ -217,9 +189,7 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> Spectral
         denom = np.linalg.norm(Az) + abs(lam) * np.linalg.norm(Bz)
         res = float(np.linalg.norm(r) / denom)
         # roundoff floor of the matvec residual in this (badly scaled) basis
-        az_abs = np.abs(p.a_main) * np.abs(z)
-        az_abs[:-1] += np.abs(p.a_off) * np.abs(z[1:])
-        az_abs[1:] += np.abs(p.a_off) * np.abs(z[:-1])
+        az_abs = _tridiag_mul(np.abs(p.a_main), np.abs(p.a_off), np.abs(z))
         floor = eps * float(np.linalg.norm(az_abs)) / denom
         stagnant = stagnant + 1 if abs(lam - lam_old) <= 4 * eps * abs(lam) else 0
         if res <= max(tol, 8.0 * floor) and (stagnant >= 2 or res <= tol):
@@ -342,54 +312,44 @@ def f_record(h: ProfileH, elements: int = 1024, *, pencils=None) -> dict:
     }
 
 
+def _t_over_h(h: ProfileH, piece: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """int_a^b t / h(t) dt for each [a, b] inside linear piece ``piece``, in
+    closed form with the log taken through log1p against the left endpoint;
+    nearly constant pieces take two-point Gauss on t/h."""
+    beta = h.slopes()[piece]
+    alpha = h.values[piece] - beta * h.knots[piece]  # h(t) = alpha + beta t
+    ha = alpha + beta * a
+    hb = alpha + beta * b
+    length = b - a
+    # profile vanishing at t = 0: the linear factor t cancels the decay
+    from_zero = (ha == 0.0) & (a == 0.0) & (beta > 0.0)
+    if np.any((np.minimum(ha, hb) <= 0.0) & ~from_zero):
+        raise ValueError("weight vanishes inside (0, 1); kernel integral diverges")
+    flat = np.abs(beta) * length < 1e-9 * np.maximum(ha, hb)
+    mid = 0.5 * (a + b)
+    half = 0.5 * length
+    g1, g2 = mid - half * _INV_SQRT3, mid + half * _INV_SQRT3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gauss = half * g1 / (alpha + beta * g1) + half * g2 / (alpha + beta * g2)
+        exact = length / beta - (alpha / beta ** 2) * np.log1p(beta * length / ha)
+        return np.where(from_zero, length / beta, np.where(flat, gauss, exact))
+
+
 def _cumulative_t_over_h(h: ProfileH, pts: np.ndarray) -> np.ndarray:
-    """int_0^p t / h(t) dt for each p in pts (pts sorted, inside [0, 1]).
+    """int_0^p t / h(t) dt for each p in pts (inside [0, 1]): the whole pieces
+    before p by ``cumsum``, the piece that holds p by one ``_t_over_h`` call.
 
-    Closed form per linear piece; the log is taken through log1p against the
-    left endpoint to stay accurate for nearly constant pieces.  Pieces where h
-    vanishes at an interior point would make the integral diverge; admissible
-    profiles vanish at most at the endpoints, where the integrand t/h stays
-    integrable against the linear decay.
+    The integral diverges where h vanishes inside (0, 1), and at p = 1 when
+    h(1) = 0; admissible profiles vanish at most at the endpoints, and at 0
+    the factor t cancels the linear decay.
     """
-    k, v, s = h.knots, h.values, h.slopes()
-
-    def piece_int(i, a, b):
-        # integral over [a, b] contained in piece i
-        if b <= a:
-            return 0.0
-        beta = s[i]
-        alpha = v[i] - beta * k[i]  # h(t) = alpha + beta t
-        ha = alpha + beta * a
-        hb = alpha + beta * b
-        if ha == 0.0 and a == 0.0 and beta > 0.0:
-            # profile vanishing at t = 0: the linear factor t cancels the decay
-            return (b - a) / beta
-        if min(ha, hb) <= 0.0:
-            raise ValueError("weight vanishes inside (0, 1); kernel integral diverges")
-        if abs(beta) * (b - a) < 1e-9 * max(ha, hb):
-            # nearly constant piece: two-point Gauss on t/h is exact enough
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            out = 0.0
-            for g in (mid - half * _INV_SQRT3, mid + half * _INV_SQRT3):
-                out += half * g / (alpha + beta * g)
-            return out
-        return (b - a) / beta - (alpha / beta ** 2) * np.log1p(beta * (b - a) / ha)
-
-    out = np.empty(pts.size)
-    total = 0.0
-    j = 0
-    for i in range(s.size):
-        lo, hi = k[i], k[i + 1]
-        while j < pts.size and pts[j] <= hi:
-            out[j] = total + piece_int(i, lo, min(pts[j], hi))
-            j += 1
-        if j == pts.size:
-            break
-        total += piece_int(i, lo, hi)
-    if j < pts.size:
+    k = h.knots
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("evaluation points must lie inside [0, 1]")
-    return out
+    piece = np.searchsorted(k[1:], pts)  # k[i] < p <= k[i + 1], or p = 0 in piece 0
+    whole = np.arange(piece.max(initial=0))
+    before = np.concatenate([[0.0], np.cumsum(_t_over_h(h, whole, k[whole], k[whole + 1]))])
+    return before[piece] + _t_over_h(h, piece, k[piece], pts)
 
 
 def sigma1_kernel_oracle(h: ProfileH, quad: int = 640) -> float:

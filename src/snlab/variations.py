@@ -32,6 +32,7 @@ from .profiles import ProfileH
 
 FIRST_ORDER_STEPS = (1e-3, 5e-4, 2.5e-4)
 SECOND_ORDER_STEPS = (2e-3, 1e-3, 5e-4)
+_STEP0, _STEP_MIN = 0.25, 1e-4   # first and smallest pattern-search step
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -297,9 +298,7 @@ def _project_eval(grid: np.ndarray, y: np.ndarray, elements: int):
 
 
 def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
-               seed: int = 0, elements: int = 512, step0: float = 0.25,
-               step_min: float = 1e-4, max_sweeps: int = 40,
-               start: ProfileH | None = None) -> OptimizeResult:
+               seed: int = 0, elements: int = 512, max_sweeps: int = 40) -> OptimizeResult:
     """Pattern search over knot ordinates, projected into the admissible class.
 
     Local and best-effort by design: every iterate is projected to a
@@ -317,9 +316,7 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
     best = None
     evals = 0
     for r in range(max(1, restarts)):
-        if r == 0 and start is not None:
-            y = np.asarray(start(grid), dtype=float)
-        elif r == 0:
+        if r == 0:
             y = np.ones(knots)
         else:
             y = np.asarray(profiles.random_profile(rng)(grid), dtype=float)
@@ -329,9 +326,9 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
             continue
         y = np.asarray(h(grid), dtype=float)
         trace = [f]
-        step = step0
+        step = _STEP0
         sweeps = 0
-        while step >= step_min and sweeps < max_sweeps:
+        while step >= _STEP_MIN and sweeps < max_sweeps:
             sweeps += 1
             improved = False
             for i in range(knots):

@@ -113,6 +113,21 @@ def test_upper_bound_constant_consistent_with_K():
     assert bounds.upper_bound_constant(500) == pytest.approx(2.0 * (1.0 + K), rel=1e-14)
 
 
+def test_upper_bound_constant_is_computed_once_per_grid(monkeypatch):
+    calls = []
+    constant_K = bounds.constant_K
+
+    def counting_constant_K(grid):
+        calls.append(grid)
+        return constant_K(grid)
+
+    monkeypatch.setattr(bounds, "constant_K", counting_constant_K)
+    bounds.upper_bound_constant.cache_clear()
+    first = bounds.upper_bound_constant(400)
+    assert bounds.upper_bound_constant(400) is first
+    assert calls == [400]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(min_value=0.05, max_value=5.0),
        st.floats(min_value=1.1, max_value=4.0),

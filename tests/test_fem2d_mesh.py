@@ -1,5 +1,6 @@
 """Triangle meshing: coverage, quality, refinement, and thin strips."""
 
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from snlab.fem2d import mesh as mesh_mod
 from snlab.fem2d import polygon_mesh, refine, thin_mesh
 from snlab.fem2d.assemble import _p2_connectivity
 from snlab.fem2d.mesh import MeshError, QUALITY_FLOOR_DEG, TriangleMesh
+
+# the package's ``assemble`` function shadows its module
+assemble_mod = importlib.import_module("snlab.fem2d.assemble")
 
 
 def test_mesh_covers_polygon_area_exactly(hull_polygon):
@@ -451,11 +455,14 @@ def test_lawson_flips_on_one_quad():
         mesh_mod._lawson_flips(pts, tris[:, ::-1], 1e-12)
 
 
+SLIVER_PTS = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+SLIVER_TRIS = np.array([[1, 2, 0], [0, 3, 1], [0, 4, 2]])
+
+
 def test_sliver_repair_visits_chords_in_triangle_order():
     """One triangle backs two chords with hanging points; the chord met first
     in its corner order is fanned first, and that choice shapes the mesh."""
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
-    tris = np.array([[1, 2, 0], [0, 3, 1], [0, 4, 2]])
+    pts, tris = SLIVER_PTS, SLIVER_TRIS
     got = mesh_mod._repair_slivers(pts, tris)
     assert np.array_equal(got, _repair_slivers_by_edge_dict(pts, tris))
     assert np.unique(got).size == len(pts)
@@ -477,3 +484,33 @@ def test_thin_mesh_array_routes_match_loop_references(half, eps, dx0, layers):
     assert np.array_equal(mesh.nodes, nodes)
     assert np.array_equal(mesh.triangles, tris)
     _assert_p2_matches_dict_route(mesh)
+
+
+def _edge_table_by_stable_unique(tris, n_nodes):
+    """The edge table with its former stable ``np.unique(return_index=True)``."""
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    key = edges.min(axis=1).astype(np.int64) * n_nodes + edges.max(axis=1)
+    ukey, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True)
+    return edges, np.stack(np.divmod(ukey, n_nodes), axis=1), inverse, first, counts
+
+
+def test_edge_table_matches_stable_unique_reference(monkeypatch):
+    """Every edge table built while meshing the drift corpus, taking its P2
+    connectivity and repairing the hand-built sliver case equals the stable
+    ``np.unique`` route in all five outputs, dtypes included."""
+    table, calls = mesh_mod._edge_table, []
+
+    def checked_table(tris, n_nodes):
+        got = table(tris, n_nodes)
+        for a, b in zip(got, _edge_table_by_stable_unique(tris, n_nodes)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        calls.append(len(tris))
+        return got
+
+    monkeypatch.setattr(mesh_mod, "_edge_table", checked_table)
+    monkeypatch.setattr(assemble_mod, "_edge_table", checked_table)
+    for make in drift_corpus().values():
+        _p2_connectivity(make())
+    mesh_mod._repair_slivers(SLIVER_PTS, SLIVER_TRIS)
+    assert len(calls) > 2 * 110

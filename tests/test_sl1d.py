@@ -270,3 +270,81 @@ def test_extrapolated_pair_assembles_each_grid_once(monkeypatch):
     monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
     assert sl1d.extrapolated_pair(h, 512) == expected
     assert sorted(sizes) == [128, 256, 512]
+
+
+# --- the per-point loop of the kernel integrals, kept as the reference ---
+
+def _cumulative_t_over_h_by_loop(h, pts):
+    """int_0^p t / h(t) dt for sorted pts, one closed-form call per point."""
+    k, v, s = h.knots, h.values, h.slopes()
+
+    def piece_int(i, a, b):
+        if b <= a:
+            return 0.0
+        beta = s[i]
+        alpha = v[i] - beta * k[i]
+        ha = alpha + beta * a
+        hb = alpha + beta * b
+        if ha == 0.0 and a == 0.0 and beta > 0.0:
+            return (b - a) / beta
+        if min(ha, hb) <= 0.0:
+            raise ValueError("weight vanishes inside (0, 1); kernel integral diverges")
+        if abs(beta) * (b - a) < 1e-9 * max(ha, hb):
+            mid = 0.5 * (a + b)
+            half = 0.5 * (b - a)
+            out = 0.0
+            for g in (mid - half * sl1d._INV_SQRT3, mid + half * sl1d._INV_SQRT3):
+                out += half * g / (alpha + beta * g)
+            return out
+        return (b - a) / beta - (alpha / beta ** 2) * np.log1p(beta * (b - a) / ha)
+
+    out = np.empty(pts.size)
+    total = 0.0
+    j = 0
+    for i in range(s.size):
+        lo, hi = k[i], k[i + 1]
+        while j < pts.size and pts[j] <= hi:
+            out[j] = total + piece_int(i, lo, min(pts[j], hi))
+            j += 1
+        if j == pts.size:
+            break
+        total += piece_int(i, lo, hi)
+    if j < pts.size:
+        raise ValueError("evaluation points must lie inside [0, 1]")
+    return out
+
+
+def _kernel_profiles():
+    """Strictly positive, vanishing at both ends, constant, nearly constant."""
+    rng = np.random.default_rng(123)
+    hs = {f"positive{i}": profiles.random_profile(rng, strictly_positive=True)
+          for i in range(3)}
+    hs.update({f"tent{x0}": profiles.triangular(x0) for x0 in (0.5, 0.3, 0.05)})
+    hs["parabolic"] = profiles.parabolic_star()
+    rng = np.random.default_rng(2026)
+    stream = [profiles.random_profile(rng) for _ in range(12)]
+    hs.update({f"stream{i}": h for i, h in enumerate(stream) if h.values[0] == 0.0})
+    hs["constant"] = profiles.constant()
+    hs["nearly_constant"] = profiles.ProfileH([0.0, 0.5, 1.0], [1.0, 1.0 + 1e-12, 1.0])
+    return hs
+
+
+@pytest.mark.parametrize("quad", [16, 640, 2560])
+@pytest.mark.parametrize("name, h", list(_kernel_profiles().items()))
+def test_kernel_integrals_match_per_point_loop(name, h, quad):
+    y = (np.arange(quad) + 0.5) / quad
+    for hh, pts in ((h, y), (profiles.mirror(h), 1.0 - y[::-1])):
+        want = _cumulative_t_over_h_by_loop(hh, pts)
+        got = sl1d._cumulative_t_over_h(hh, pts)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(np.abs(want))
+
+
+def test_kernel_integrals_reject_interior_zero_and_outside_points():
+    pts = (np.arange(16) + 0.5) / 16
+    dip = profiles.ProfileH([0.0, 0.5, 1.0], [1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="vanishes inside"):
+        sl1d._cumulative_t_over_h(dip, pts)
+    for outside in (np.append(pts, 1.5), np.insert(pts, 0, -0.1)):
+        with pytest.raises(ValueError, match="inside \\[0, 1\\]"):
+            sl1d._cumulative_t_over_h(profiles.constant(), outside)
