@@ -4,13 +4,13 @@ General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
 Delaunay triangulation, and a few rounds of Laplacian smoothing.  Convexity
 makes Delaunay exact: the triangulated hull of the point set is the polygon
-itself.  qhull triangulates the points before and after smoothing; in between
-the triangulation follows the points by vectorized Lawson edge flips, which
-keep it Delaunay (so no element can invert) at a fraction of a qhull call.
-Every edge question (smoothing neighbours, edge flips, boundary edges,
-refinement midpoints, sliver repair, P2 connectivity) is answered by one table
-of unique edges keyed by int64 ``lo * n + hi``.  The Python loop left is
-sliver repair's walk over the boundary chords.
+itself.  qhull triangulates the points before and after smoothing, and its
+zero-area caps on collinear boundary points are dropped right there; in
+between the triangulation follows the points by vectorized Lawson edge flips,
+which keep it Delaunay (so no element can invert) at a fraction of a qhull
+call.  Every edge question (smoothing neighbours, edge flips, boundary edges,
+refinement midpoints, P2 connectivity) is answered by one table of unique
+edges keyed by int64 ``lo * n + hi``.
 
 Meshing happens in a canonical frame (centroid at the origin, unit area,
 longest edge aligned with the x-axis) and is mapped back, so congruent or
@@ -195,12 +195,21 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
     return p[d >= clearance]
 
 
-def _sliver_tol(pts: np.ndarray) -> tuple[float, float]:
-    """Diagonal of the bounding box, and the |2 * area| at or below which a
-    triangle of these points counts as flat."""
-    span = pts.max(axis=0) - pts.min(axis=0)
+def _delaunay(points: np.ndarray) -> np.ndarray:
+    """qhull's triangulation of ``points``, positively oriented.
+
+    Subdividing a straight polygon edge puts exactly collinear points on the
+    hull, and qhull covers such runs with zero-area caps; every triangle with
+    |2 area| at most 1e-10 times the squared bounding-box diagonal is dropped.
+    Raises ``MeshError`` unless every point is a corner of a kept triangle.
+    """
+    tris = np.asarray(Delaunay(points).simplices, dtype=np.int64)
+    span = points.max(axis=0) - points.min(axis=0)
     scale = float(np.hypot(*span))
-    return scale, 1e-10 * scale * scale
+    tris = tris[np.abs(_signed_areas(points, tris)) > 1e-10 * scale * scale]
+    if np.unique(tris).size != len(points):
+        raise MeshError("triangulation leaves points unused")
+    return _orient_ccw(points, tris)
 
 
 def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
@@ -217,24 +226,20 @@ def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
     return det > _INCIRCLE_TIE * perm
 
 
-def _lawson_flips(pts: np.ndarray, tris: np.ndarray, tol: float):
+def _lawson_flips(pts: np.ndarray, tris: np.ndarray):
     """Flip edges until the triangulation is Delaunay (Lawson, 1977).
 
-    ``tris`` must be positively oriented apart from flat triangles (|2 area|
-    <= ``tol``, the zero-area caps qhull puts on collinear hull points), whose
-    edges never flip.  An interior edge shared by (a, b, c) and (b, a, d)
-    fails when d lies inside the circumcircle of (a, b, c), and flipping it
-    gives (a, d, c) and (d, b, c).  Each sweep flips the edges that are the
-    lowest-index failing edge of both their triangles: an independent set,
-    never empty while an edge fails.  Returns the triangles and the unique
-    edges of ``_edge_table``; raises ``MeshError`` on an inverted triangle or
-    after ``_MAX_FLIP_SWEEPS`` sweeps.
+    ``tris`` must be positively oriented.  An interior edge shared by (a, b, c)
+    and (b, a, d) fails when d lies inside the circumcircle of (a, b, c), and
+    flipping it gives (a, d, c) and (d, b, c).  Each sweep flips the edges
+    that are the lowest-index failing edge of both their triangles: an
+    independent set, never empty while an edge fails.  Returns the triangles
+    and the unique edges of ``_edge_table``; raises ``MeshError`` on an
+    inverted or flat triangle or after ``_MAX_FLIP_SWEEPS`` sweeps.
     """
     n_tris = len(tris)
     for _ in range(_MAX_FLIP_SWEEPS):
-        area2 = _signed_areas(pts, tris)
-        flat = np.abs(area2) <= tol
-        if np.any(area2[~flat] < 0):
+        if np.any(_signed_areas(pts, tris) <= 0):
             raise MeshError("smoothing inverted a triangle")
         _, uniq, inverse, first, _ = _edge_table(tris, len(pts))
         # every directed row that is not its edge's first is the second row of
@@ -246,7 +251,7 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, tol: float):
         k2, t2 = np.divmod(second, n_tris)
         a, b, c = tris[t1, k1], tris[t1, (k1 + 1) % 3], tris[t1, (k1 + 2) % 3]
         d = tris[t2, (k2 + 2) % 3]
-        fails = np.flatnonzero(~flat[t1] & ~flat[t2] & _incircle_fails(pts, a, b, c, d))
+        fails = np.flatnonzero(_incircle_fails(pts, a, b, c, d))
         if fails.size == 0:
             return tris, uniq
         # flip each failing edge that is the lowest failing edge of both owners
@@ -262,103 +267,31 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, tol: float):
 
 
 def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laplacian smoothing: every point after the first ``n_fixed`` that has
-    Delaunay neighbours moves to their mean, ``rounds`` times.
+    """Laplacian smoothing: every point after the first ``n_fixed`` moves to
+    the mean of its Delaunay neighbours, ``rounds`` times.
 
     qhull triangulates the input and the result.  Between those two calls
     the triangulation follows the points by Lawson flips, which restore the
     Delaunay property after each round; a round changes only a few edges.
     Each round's neighbour sums come from the unique edges of the current
-    triangles, flat caps included, as qhull's ``vertex_neighbor_vertices``
-    would give them (in another summation order).
+    triangles.  The caps that ``_delaunay`` drops lie on fixed boundary
+    points, so the free points have the neighbours that qhull's
+    ``vertex_neighbor_vertices`` would give them (summed in another order).
+    Returns the smoothed points and their triangles from ``_delaunay``.
     """
     n = points.shape[0]
-    _, tol = _sliver_tol(points)
-    tris = _orient_ccw(points, np.asarray(Delaunay(points).simplices, dtype=np.int64))
+    tris = _delaunay(points)
     for _ in range(rounds):
-        tris, uniq = _lawson_flips(points, tris, tol)
+        tris, uniq = _lawson_flips(points, tris)
         # both directions of every edge, by (vertex, neighbour): each sum
         # runs over the neighbours in ascending order
         ends, other = np.divmod(np.sort(np.concatenate([uniq @ [n, 1], uniq @ [1, n]])), n)
-        degree = np.bincount(ends, minlength=n)
-        move = degree > 0
-        move[:n_fixed] = False
+        degree = np.bincount(ends, minlength=n)[n_fixed:, None]
         sums = np.stack([np.bincount(ends, weights=points[other, i], minlength=n)
                          for i in range(2)], axis=1)
         points = points.copy()
-        points[move] = sums[move] / degree[move, None]
-    return points, Delaunay(points).simplices
-
-
-def _repair_slivers(pts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    """Remove zero-area simplices that qhull emits for collinear point runs.
-
-    Subdividing a straight polygon edge puts exactly collinear points on the
-    hull, and qhull triangulates that flat cap arbitrarily — often a fan of
-    zero-area triangles.  All such triangles are dropped; the surviving mesh
-    still covers the polygon, but its boundary may run along chords that skip
-    cap points, leaving them hanging.  For every boundary chord the hanging
-    points on it are collected and the (unique) positive triangle behind the
-    chord is fanned through them, which restores a conforming triangulation
-    that uses every input point.
-
-    Boundary chords are the single-owner rows of the edge table.  They are
-    visited in order of their position in the triangle list (triangle by
-    triangle, corner by corner), so when a triangle backs two chords the same
-    one is fanned first whatever order the table sorts them in.
-    """
-    scale, tol = _sliver_tol(pts)
-    bad = np.abs(_signed_areas(pts, tris)) <= tol
-    if not bad.any():
-        return tris
-    work = tris[~bad]
-
-    # points needing re-insertion: vertices of dropped triangles, plus any
-    # point qhull left out of the triangulation altogether
-    candidates = np.union1d(np.unique(tris[bad]),
-                            np.setdiff1d(np.arange(len(pts)), np.unique(tris)))
-
-    # a triangle owns at most one fan per pass; a corner triangle facing two
-    # caps is split along one chord now and the other on the next pass
-    for _ in range(5):
-        _, uniq, _, first, counts = _edge_table(work, len(pts))
-        chords = np.flatnonzero(counts == 1)
-        corner, owner = np.divmod(first[chords], len(work))
-        order = np.argsort(3 * owner + corner)
-        replaced: set = set()
-        fans = []
-        for (a, b), ti, k in zip(uniq[chords[order]], owner[order], corner[order]):
-            if ti in replaced:
-                continue
-            cand = candidates[(candidates != a) & (candidates != b)]
-            if cand.size == 0:
-                continue
-            A, B = pts[a], pts[b]
-            ab = B - A
-            length = float(np.hypot(*ab))
-            d = pts[cand] - A
-            off_line = np.abs(d[:, 0] * ab[1] - d[:, 1] * ab[0])
-            t_par = (d @ ab) / (length * length)
-            inside = (off_line <= 1e-12 * scale * length) \
-                & (t_par > 0.0) & (t_par < 1.0)
-            if not inside.any():
-                continue
-            z = work[ti, (k + 2) % 3]
-            replaced.add(ti)
-            chain = [a, *cand[inside][np.argsort(t_par[inside])], b]
-            fans += [(chain[k], chain[k + 1], z) for k in range(len(chain) - 1)]
-        if not fans:
-            break
-        keep = np.ones(len(work), dtype=bool)
-        keep[list(replaced)] = False
-        work = np.concatenate([work[keep], np.array(fans, dtype=tris.dtype)])
-
-    out = _orient_ccw(pts, work)
-    if np.unique(out).size != len(pts):
-        raise MeshError("sliver repair left unused points")
-    if np.any(np.abs(_signed_areas(pts, out)) <= tol):
-        raise MeshError("sliver repair left degenerate triangles")
-    return out
+        points[n_fixed:] = sums[n_fixed:] / degree
+    return points, _delaunay(points)
 
 
 def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
@@ -389,9 +322,7 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
     ring = _boundary_ring(canon, 0.8 * h)
     inner = _interior_lattice(canon, 0.8 * h, clearance=0.44 * h)
     pts = np.concatenate([ring, inner]) if inner.size else ring
-    pts, simplices = _smooth(pts, ring.shape[0], _SMOOTH_ROUNDS)
-    tris = _repair_slivers(pts, np.asarray(simplices, dtype=np.int64))
-    tris = _orient_ccw(pts, tris)
+    pts, tris = _smooth(pts, ring.shape[0], _SMOOTH_ROUNDS)
 
     covered = 0.5 * _signed_areas(pts, tris).sum()
     target = 0.5 * float(np.abs((canon[:, 0] * np.roll(canon[:, 1], -1)

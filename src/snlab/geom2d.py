@@ -58,7 +58,7 @@ def _edge_crosses(v: np.ndarray) -> np.ndarray:
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
-def prune_collinear(points: np.ndarray, tol: float = COLLINEAR_TOL) -> np.ndarray:
+def prune_collinear(points: np.ndarray) -> np.ndarray:
     """Drop vertices whose adjacent edges are collinear (or reflex-degenerate)."""
     v = np.asarray(points, dtype=float)
     scale = max(float(np.abs(v).max()) ** 2, 1e-30)
@@ -69,7 +69,7 @@ def prune_collinear(points: np.ndarray, tol: float = COLLINEAR_TOL) -> np.ndarra
         nxt = np.roll(v, -1, axis=0)
         cross = ((v[:, 0] - prev[:, 0]) * (nxt[:, 1] - v[:, 1])
                  - (v[:, 1] - prev[:, 1]) * (nxt[:, 0] - v[:, 0]))
-        keep = cross > tol * scale
+        keep = cross > COLLINEAR_TOL * scale
         if np.all(keep):
             return v
         v = v[keep]

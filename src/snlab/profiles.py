@@ -17,7 +17,6 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 CONCAVITY_TOL = 1e-12
-NONNEG_TOL = 1e-12
 _PROJECT_ROUNDS = 100            # alternations allowed in project_concave
 
 
@@ -80,16 +79,16 @@ class ValidityReport:
     violations: list = field(default_factory=list)
 
 
-def validate(h: ProfileH, tol: float = CONCAVITY_TOL) -> ValidityReport:
+def validate(h: ProfileH) -> ValidityReport:
     """Check nonnegativity, concavity and unit integral of a profile."""
     violations = []
-    neg = np.where(h.values < -tol)[0]
+    neg = np.where(h.values < -CONCAVITY_TOL)[0]
     for i in neg:
         violations.append(("negative", int(i), float(-h.values[i])))
     s = h.slopes()
     scale = max(1.0, float(np.abs(s).max())) if s.size else 1.0
     jump = np.diff(s)
-    bad = np.where(jump > tol * scale)[0]
+    bad = np.where(jump > CONCAVITY_TOL * scale)[0]
     for i in bad:
         violations.append(("concavity", int(i) + 1, float(jump[i])))
     integ = h.integral()
@@ -100,8 +99,8 @@ def validate(h: ProfileH, tol: float = CONCAVITY_TOL) -> ValidityReport:
     return ValidityReport(ok=ok, normalized=normalized, integral=integ, violations=violations)
 
 
-def is_admissible(h: ProfileH, tol: float = CONCAVITY_TOL) -> bool:
-    r = validate(h, tol)
+def is_admissible(h: ProfileH) -> bool:
+    r = validate(h)
     return r.ok and r.normalized
 
 

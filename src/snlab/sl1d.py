@@ -44,6 +44,8 @@ _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 _WARM_STEPS = 2                  # inverse-iteration steps before the RQI
 _NUDGES = (16.0, 1e4, 1e7)       # see _shifted_solve
 _CERT_MARGIN = 1e-3              # inertia is counted at lam * (1 - margin)
+_RESIDUAL_TOL = 1e-9             # relative residual that certifies an eigenpair
+_MAX_ITER = 50                   # solves allowed per eigenvalue
 
 
 class SolverError(RuntimeError):
@@ -142,7 +144,7 @@ def _assemble(h: ProfileH, n: int):
     return mass_pencil(h(gauss_x)), mass_pencil(np.ones_like(gauss_x))
 
 
-def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> SpectralResult:
+def _solve_pencil(p: _Pencil) -> SpectralResult:
     """Smallest nonzero eigenvalue of the pencil with constants deflated.
 
     Each step maps z to deflate(T^-1 B z), B-normalised, with one tridiagonal
@@ -171,20 +173,22 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> Spectral
     rng = np.random.default_rng(0xC0FFEE)
     z = smooth + 1e-2 * deflate(rng.standard_normal(n_dofs))
     z /= np.sqrt(p.b_form(z))
+    Bz = p.bmat(z)
 
     eps = np.finfo(float).eps
+    unit = eps * float(np.max(p.a_main) / np.max(p.b_main))
     lam_old = np.inf
     stagnant = 0
     res = np.inf
-    for it in range(1, max_iter + 1):
-        y = deflate(_shifted_solve(p, -c if it <= _WARM_STEPS else lam, p.bmat(z)))
+    for it in range(1, _MAX_ITER + 1):
+        y = deflate(_shifted_solve(p, -c if it <= _WARM_STEPS else lam, Bz, unit))
         norm = np.sqrt(max(p.b_form(y), 0.0))
         if not norm > 0:
             raise SolverError("iteration collapsed onto the deflated subspace")
         z = y / norm
         lam = p.a_form(z)
         Az = p.amat(z)
-        Bz = p.bmat(z)
+        Bz = p.bmat(z)          # also the next step's right-hand side
         r = Az - lam * Bz
         denom = np.linalg.norm(Az) + abs(lam) * np.linalg.norm(Bz)
         res = float(np.linalg.norm(r) / denom)
@@ -192,19 +196,19 @@ def _solve_pencil(p: _Pencil, tol: float = 1e-9, max_iter: int = 50) -> Spectral
         az_abs = _tridiag_mul(np.abs(p.a_main), np.abs(p.a_off), np.abs(z))
         floor = eps * float(np.linalg.norm(az_abs)) / denom
         stagnant = stagnant + 1 if abs(lam - lam_old) <= 4 * eps * abs(lam) else 0
-        if res <= max(tol, 8.0 * floor) and (stagnant >= 2 or res <= tol):
+        if res <= max(_RESIDUAL_TOL, 8.0 * floor) and (stagnant >= 2 or res <= _RESIDUAL_TOL):
             _certify_first(p, lam)
             return SpectralResult(lam, z, res, n_dofs, it)
         lam_old = lam
     raise SolverError(f"Rayleigh-quotient iteration did not converge (residual {res:.2e})")
 
 
-def _shifted_solve(p: _Pencil, lam: float, rhs: np.ndarray) -> np.ndarray:
+def _shifted_solve(p: _Pencil, lam: float, rhs: np.ndarray, unit: float) -> np.ndarray:
     """(A - lam B)^-1 rhs by LAPACK dgtsv.  A's entries scale like n^2 h and
     lam B's like lam h / n, so near convergence T can be exactly singular and
-    ulps of lam would not change it: the shift moves by ``_NUDGES`` times the
-    smallest change of lam that A's largest diagonal entry can show."""
-    unit = np.finfo(float).eps * float(np.max(p.a_main) / np.max(p.b_main))
+    ulps of lam would not change it: the shift moves by ``_NUDGES`` times
+    ``unit``, eps max(A's diagonal) / max(B's diagonal), the smallest change
+    of lam that A's largest diagonal entry can show."""
     for nudge in (0.0,) + _NUDGES:
         s = lam - nudge * unit
         off = p.a_off - s * p.b_off

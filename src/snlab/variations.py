@@ -100,10 +100,8 @@ def _evaluate(quantity: str, h: ProfileH, elements: int) -> float:
 
 
 def _fd_report(quantity: str, label: str, phi: ProfileH, analytic: float,
-               order: int, steps, elements: int) -> VariationReport:
-    steps = tuple(float(s) for s in steps)
-    if len(steps) < 3 or any(b >= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("need at least three decreasing steps")
+               order: int, elements: int) -> VariationReport:
+    steps = FIRST_ORDER_STEPS if order == 1 else SECOND_ORDER_STEPS
     base = _evaluate(quantity, _perturbed(phi, 0.0), elements) if order == 2 else 0.0
     diffs = []
     for t in steps:
@@ -127,35 +125,32 @@ def _fd_report(quantity: str, label: str, phi: ProfileH, analytic: float,
 
 
 def first_variation_sigma(phi: ProfileH, elements: int = 2048,
-                          steps=FIRST_ORDER_STEPS, label: str = "phi") -> VariationReport:
-    return _fd_report("sigma", label, phi, sigma_dot(phi), 1, steps, elements)
+                          label: str = "phi") -> VariationReport:
+    return _fd_report("sigma", label, phi, sigma_dot(phi), 1, elements)
 
 
 def first_variation_mu(phi: ProfileH, elements: int = 2048,
-                       steps=FIRST_ORDER_STEPS, label: str = "phi") -> VariationReport:
-    return _fd_report("mu", label, phi, mu_dot(phi), 1, steps, elements)
+                       label: str = "phi") -> VariationReport:
+    return _fd_report("mu", label, phi, mu_dot(phi), 1, elements)
 
 
 def first_variation_F(phi: ProfileH, elements: int = 2048,
-                      steps=FIRST_ORDER_STEPS, label: str = "phi") -> VariationReport:
-    return _fd_report("F", label, phi, F_dot(phi), 1, steps, elements)
+                      label: str = "phi") -> VariationReport:
+    return _fd_report("F", label, phi, F_dot(phi), 1, elements)
 
 
-def second_variation_sigma_linear(A: float, elements: int = 2048,
-                                  steps=SECOND_ORDER_STEPS) -> VariationReport:
+def second_variation_sigma_linear(A: float, elements: int = 2048) -> VariationReport:
     analytic = A * A * (3.0 - math.pi ** 2) / 8.0
-    return _fd_report("sigma", f"{A}*x", linear_direction(A), analytic, 2, steps, elements)
+    return _fd_report("sigma", f"{A}*x", linear_direction(A), analytic, 2, elements)
 
 
-def second_variation_mu_linear(A: float, elements: int = 2048,
-                               steps=SECOND_ORDER_STEPS) -> VariationReport:
-    return _fd_report("mu", f"{A}*x", linear_direction(A), 1.5 * A * A, 2, steps, elements)
+def second_variation_mu_linear(A: float, elements: int = 2048) -> VariationReport:
+    return _fd_report("mu", f"{A}*x", linear_direction(A), 1.5 * A * A, 2, elements)
 
 
-def second_variation_F_linear(A: float, elements: int = 2048,
-                              steps=SECOND_ORDER_STEPS) -> VariationReport:
+def second_variation_F_linear(A: float, elements: int = 2048) -> VariationReport:
     analytic = A * A * (9.0 + math.pi ** 2) / (8.0 * math.pi ** 2)
-    return _fd_report("F", f"{A}*x", linear_direction(A), analytic, 2, steps, elements)
+    return _fd_report("F", f"{A}*x", linear_direction(A), analytic, 2, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def test_refine_quadruples_and_preserves_area(hull_polygon):
 
 
 def test_collinear_cap_repair_regression():
-    """Hull whose straight edges once produced unrepairable zero-area fans."""
+    """Hull whose straight edges make qhull cap collinear boundary points
+    with zero-area triangles; once they are dropped every point is used."""
     rng = np.random.default_rng(2926583794887213564)
     poly = geom2d.random_hull(15, rng=rng)
     mesh = polygon_mesh(poly, 0.03)
@@ -354,28 +356,29 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     in qhull's order, so the points agree to rounding (4 ulp of the largest
     coordinate).  qhull fans the flat caps on collinear hull points either
     way for points that differ in the last bits, so the triangles agree as a
-    set once sliver repair has removed the caps; sliver repair and P2
-    connectivity stay bit-identical."""
-    smooth, repair = mesh_mod._smooth, mesh_mod._repair_slivers
+    set once the caps are gone.  Both qhull calls match the sliver repair of
+    the dict route bit for bit, as does P2 connectivity."""
+    smooth, delaunay = mesh_mod._smooth, mesh_mod._delaunay
     seen = []
 
     def checked_smooth(points, n_fixed, rounds):
         got = smooth(points, n_fixed, rounds)
         want = _smooth_by_vertex_loop(points, n_fixed, rounds)
         assert np.abs(got[0] - want[0]).max() <= 4 * np.spacing(np.abs(want[0]).max())
-        assert _triangle_set(repair(*got)) == _triangle_set(repair(*want))
+        assert _triangle_set(got[1]) == _triangle_set(_repair_slivers_by_edge_dict(*want))
         return got
 
-    def checked_repair(pts, tris):
-        got = repair(pts, tris)
-        assert np.array_equal(got, _repair_slivers_by_edge_dict(pts, tris))
-        seen.append(got is not tris)
+    def checked_delaunay(pts):
+        got = delaunay(pts)
+        want = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
+        assert np.array_equal(got, mesh_mod._orient_ccw(pts, want))
+        seen.append(len(got))
         return got
 
     monkeypatch.setattr(mesh_mod, "_smooth", checked_smooth)
-    monkeypatch.setattr(mesh_mod, "_repair_slivers", checked_repair)
+    monkeypatch.setattr(mesh_mod, "_delaunay", checked_delaunay)
     mesh = polygon_mesh(poly, 0.03)
-    assert seen
+    assert len(seen) == 2
     _assert_p2_matches_dict_route(mesh)
 
 
@@ -395,8 +398,8 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
         fixed.append(n_fixed)
         return smooth(points, n_fixed, n_rounds)
 
-    def recording_flips(pts, tris, tol):
-        out = flips(pts, tris, tol)
+    def recording_flips(pts, tris):
+        out = flips(pts, tris)
         rounds.append((pts.copy(), out[0]))
         return out
 
@@ -439,34 +442,46 @@ def test_flip_sweep_cap_raises(monkeypatch):
 
 def test_lawson_flips_on_one_quad():
     """The diagonal b-c of the quad a, b, d, c flips to a-d when d lies in the
-    circumcircle of (a, b, c); an exact tie or a flat owner flips nothing,
-    and an inverted triangle raises."""
+    circumcircle of (a, b, c); an exact tie flips nothing, and an inverted
+    triangle raises."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
     tris = np.array([[0, 1, 2], [1, 3, 2]])
-    got, uniq = mesh_mod._lawson_flips(pts, tris, 1e-12)
+    got, uniq = mesh_mod._lawson_flips(pts, tris)
     assert _triangle_set(got) == {frozenset((0, 1, 3)), frozenset((0, 3, 2))}
     assert np.all(mesh_mod._signed_areas(pts, got) > 0)
     assert (0, 3) in set(map(tuple, uniq.tolist()))
     square = pts.copy()
     square[3] = [1.0, 1.0]
-    assert np.array_equal(mesh_mod._lawson_flips(square, tris, 1e-12)[0], tris)
-    assert np.array_equal(mesh_mod._lawson_flips(pts, tris, 2.0)[0], tris)
+    assert np.array_equal(mesh_mod._lawson_flips(square, tris)[0], tris)
     with pytest.raises(MeshError, match="inverted"):
-        mesh_mod._lawson_flips(pts, tris[:, ::-1], 1e-12)
+        mesh_mod._lawson_flips(pts, tris[:, ::-1])
 
 
 SLIVER_PTS = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
 SLIVER_TRIS = np.array([[1, 2, 0], [0, 3, 1], [0, 4, 2]])
 
 
-def test_sliver_repair_visits_chords_in_triangle_order():
-    """One triangle backs two chords with hanging points; the chord met first
-    in its corner order is fanned first, and that choice shapes the mesh."""
-    pts, tris = SLIVER_PTS, SLIVER_TRIS
-    got = mesh_mod._repair_slivers(pts, tris)
-    assert np.array_equal(got, _repair_slivers_by_edge_dict(pts, tris))
-    assert np.unique(got).size == len(pts)
-    assert 0.5 * mesh_mod._signed_areas(pts, got).sum() == pytest.approx(2.0, rel=1e-15)
+def test_points_only_on_caps_raise(monkeypatch):
+    """Points 3 and 4 lie on zero-area caps alone; once the caps are dropped
+    they are unused, and the triangulation is refused."""
+    monkeypatch.setattr(mesh_mod, "Delaunay", lambda pts: SimpleNamespace(simplices=SLIVER_TRIS))
+    with pytest.raises(MeshError, match="unused"):
+        mesh_mod._delaunay(SLIVER_PTS)
+
+
+def test_point_left_out_without_caps_raises(monkeypatch):
+    """A triangulation that skips the last point (an interior lattice point)
+    and has no caps still covers the polygon, but leaves a node unused."""
+    delaunay = mesh_mod.Delaunay
+
+    def leaving_one_out(points):
+        tris = delaunay(points[:-1]).simplices
+        area2 = mesh_mod._signed_areas(points, tris)
+        return SimpleNamespace(simplices=tris[np.abs(area2) > 1e-12])
+
+    monkeypatch.setattr(mesh_mod, "Delaunay", leaving_one_out)
+    with pytest.raises(MeshError, match="unused"):
+        polygon_mesh(geom2d.resolve("square"), 0.1)
 
 
 @pytest.mark.parametrize("half, eps, dx0, layers", [
@@ -496,9 +511,9 @@ def _edge_table_by_stable_unique(tris, n_nodes):
 
 
 def test_edge_table_matches_stable_unique_reference(monkeypatch):
-    """Every edge table built while meshing the drift corpus, taking its P2
-    connectivity and repairing the hand-built sliver case equals the stable
-    ``np.unique`` route in all five outputs, dtypes included."""
+    """Every edge table built while meshing the drift corpus and taking its
+    P2 connectivity equals the stable ``np.unique`` route in all five
+    outputs, dtypes included."""
     table, calls = mesh_mod._edge_table, []
 
     def checked_table(tris, n_nodes):
@@ -512,5 +527,4 @@ def test_edge_table_matches_stable_unique_reference(monkeypatch):
     monkeypatch.setattr(assemble_mod, "_edge_table", checked_table)
     for make in drift_corpus().values():
         _p2_connectivity(make())
-    mesh_mod._repair_slivers(SLIVER_PTS, SLIVER_TRIS)
     assert len(calls) > 2 * 110
