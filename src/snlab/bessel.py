@@ -51,8 +51,6 @@ class TranscendentalRoot:
     """A root of a tent matching equation, with its certificate."""
 
     value: float
-    equation: str
-    x0: float
     bracket: tuple
     residual: float
 
@@ -79,13 +77,8 @@ def _tent_root(x0: float, arg_scale: float, equation: str) -> TranscendentalRoot
         fb = f(b)
         if fa * fb <= 0:
             s_root = optimize.brentq(f, a, b, xtol=1e-13)
-            return TranscendentalRoot(
-                value=s_root * s_root,
-                equation=equation,
-                x0=x0,
-                bracket=(a * a, b * b),
-                residual=abs(f(s_root)),
-            )
+            return TranscendentalRoot(value=s_root * s_root, bracket=(a * a, b * b),
+                                      residual=abs(f(s_root)))
         a, fa = b, fb
     raise ValueError(f"no root found for {equation} with x0={x0}")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -146,23 +145,14 @@ def _cmd_geom(args):
 def _cmd_fem(args):
     poly = geom2d.resolve(args.shape)
     g = geom2d.functionals(poly)
-    mesh = fem2d.polygon_mesh(poly, args.hmax)
-    levels = []
-    for _ in range(max(1, args.levels)):
-        rec = fem2d.record_from_mesh(mesh, g)
-        levels.append({k: getattr(rec, k)
-                       for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F",
-                                 "mu_residual", "sigma_residual",
-                                 "mu_iterations", "sigma_iterations")})
-        if len(levels) < max(1, args.levels):
-            mesh = fem2d.refine(mesh)
+    records, rates = fem2d.refinement_ladder(fem2d.polygon_mesh(poly, args.hmax), g,
+                                             args.levels)
+    levels = [{k: getattr(rec, k)
+               for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F",
+                         "mu_residual", "sigma_residual",
+                         "mu_iterations", "sigma_iterations")} for rec in records]
     results = {"area": g.area, "perimeter": g.perimeter, "levels": levels}
-    if len(levels) >= 3:
-        for key in ("mu1", "sigma1"):
-            d1 = levels[-2][key] - levels[-3][key]
-            d2 = levels[-1][key] - levels[-2][key]
-            if d2 != 0.0 and d1 / d2 > 0.0:
-                results[f"{key}_observed_rate"] = math.log2(d1 / d2)
+    results.update({f"{key}_observed_rate": rate for key, rate in rates.items()})
     final = levels[-1]
     results.update({k: final[k] for k in ("mu1", "sigma1", "x", "y", "F")})
     params = {"shape": args.shape, "hmax": args.hmax, "levels": args.levels}
@@ -332,8 +322,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            parser.error("--threads must be at least 1")
+        for name in ("threads", "levels"):
+            if getattr(args, name, 1) < 1:
+                parser.error(f"--{name} must be at least 1")
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "handler", None) is None:

@@ -65,9 +65,7 @@ _STIFF_REF = np.einsum("q,qia,qjb->ijab", QUAD_WEIGHTS, _G, _G)
 class FEMSystem:
     """Assembled P2 system for one mesh."""
 
-    mesh: TriangleMesh
     nodes: np.ndarray            # all P2 node coordinates, corners first
-    tri6: np.ndarray             # (T, 6) connectivity
     boundary_dofs: np.ndarray    # sorted unique boundary degrees of freedom
     K: sparse.csr_matrix
     M: sparse.csr_matrix
@@ -132,5 +130,4 @@ def assemble(mesh: TriangleMesh) -> FEMSystem:
     B = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsr()
 
     bdofs = np.unique(btriples.ravel())
-    return FEMSystem(mesh=mesh, nodes=nodes, tri6=tri6, boundary_dofs=bdofs,
-                     K=K, M=M, B=B)
+    return FEMSystem(nodes=nodes, boundary_dofs=bdofs, K=K, M=M, B=B)

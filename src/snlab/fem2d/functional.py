@@ -3,7 +3,7 @@
 ``record_from_mesh`` ties geometry and spectrum together for one meshed
 domain: x = sigma1 * perimeter, y = mu1 * area, F = y / x.  Every domain
 record comes from it: ``F_of_domain`` for a polygon, ``thin_sweep`` for each
-strip, and the refinement levels of ``snlab fem``.
+strip, and ``refinement_ladder`` for each uniform refinement of a mesh.
 
 ``thin_sweep`` drives strips eps*(hplus, hminus) through decreasing eps,
 rescales sigma1 by 2/eps, and extrapolates with Aitken's delta-squared, which
@@ -14,6 +14,7 @@ mu1(h), 2*sigma1(strip)/eps -> sigma1(h), and F(strip) -> F(h).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from .. import geom2d, profiles, sl1d
 from ..geom2d import ConvexPolygon
 from ..profiles import ProfileH
 from .assemble import assemble
-from .mesh import polygon_mesh, thin_mesh
+from .mesh import polygon_mesh, refine, thin_mesh
 from .solve import neumann_mu1, steklov_sigma1
 
 # the reported fields of a record, in output order (``as_dict``, the diagram CSV)
@@ -76,6 +77,26 @@ def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
 def F_of_domain(poly: ConvexPolygon, hmax: float = 0.03) -> DomainRecord:
     geo = geom2d.functionals(poly)
     return record_from_mesh(polygon_mesh(poly, hmax), geo)
+
+
+def refinement_ladder(mesh, geo: geom2d.GeometryFunctionals, levels: int):
+    """Records of ``mesh`` and of its ``levels - 1`` uniform refinements, and
+    the observed orders {"mu1": ..., "sigma1": ...} of the last three levels,
+    log2(d1/d2) over successive differences, kept only where d1/d2 > 0."""
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    records = [record_from_mesh(mesh, geo)]
+    for _ in range(levels - 1):
+        mesh = refine(mesh)
+        records.append(record_from_mesh(mesh, geo))
+    rates = {}
+    if levels >= 3:
+        for key in ("mu1", "sigma1"):
+            a, b, c = (getattr(r, key) for r in records[-3:])
+            d1, d2 = b - a, c - b
+            if d2 != 0.0 and d1 / d2 > 0.0:
+                rates[key] = math.log2(d1 / d2)
+    return tuple(records), rates
 
 
 def aitken(values) -> float:

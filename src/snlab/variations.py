@@ -42,8 +42,6 @@ class VariationReport:
     direction: str
     analytic: float
     finite_difference: float     # Richardson combination of the two finest steps
-    steps: tuple
-    raw_differences: tuple
     observed_order: float
     relative_error: float
 
@@ -103,15 +101,14 @@ def _fd_report(quantity: str, label: str, phi: ProfileH, analytic: float,
                order: int, elements: int) -> VariationReport:
     steps = FIRST_ORDER_STEPS if order == 1 else SECOND_ORDER_STEPS
     base = _evaluate(quantity, _perturbed(phi, 0.0), elements) if order == 2 else 0.0
-    diffs = []
+    d = []
     for t in steps:
         fp = _evaluate(quantity, _perturbed(phi, t), elements)
         fm = _evaluate(quantity, _perturbed(phi, -t), elements)
         if order == 1:
-            diffs.append((fp - fm) / (2.0 * t))
+            d.append((fp - fm) / (2.0 * t))
         else:
-            diffs.append((fp - 2.0 * base + fm) / (t * t))
-    d = tuple(diffs)
+            d.append((fp - 2.0 * base + fm) / (t * t))
     num, den = d[-3] - d[-2], d[-2] - d[-1]
     rho = steps[-3] / steps[-2]
     observed = math.log(abs(num / den)) / math.log(rho) \
@@ -119,8 +116,7 @@ def _fd_report(quantity: str, label: str, phi: ProfileH, analytic: float,
     rich = d[-1] + (d[-1] - d[-2]) / (rho * rho - 1.0)
     return VariationReport(
         quantity=quantity, direction=label, analytic=analytic,
-        finite_difference=rich, steps=steps, raw_differences=d,
-        observed_order=observed,
+        finite_difference=rich, observed_order=observed,
         relative_error=abs(rich - analytic) / max(abs(analytic), 1e-300))
 
 
@@ -281,7 +277,6 @@ class OptimizeResult:
     profile: ProfileH
     trace: tuple
     evaluations: int
-    restarts: int
 
 
 def _project_eval(grid: np.ndarray, y: np.ndarray, elements: int):
@@ -343,4 +338,4 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
     if best is None:
         raise RuntimeError("no admissible starting profile")
     return OptimizeResult(mode=mode, value=best[1], profile=best[0],
-                          trace=best[2], evaluations=evals, restarts=max(1, restarts))
+                          trace=best[2], evaluations=evals)

@@ -140,6 +140,14 @@ def test_fem_square_levels(capsys):
     assert 1.0 < res["F"] < 2.0
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_fem_rejects_nonpositive_levels_as_usage_error(capsys, levels):
+    assert main(["fem", "--shape", "square", "--hmax", "0.2", "--levels", levels]) == 1
+    captured = capsys.readouterr()
+    assert "--levels must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_fem_levels_report_solver_stats(capsys):
     (level,) = run_json(capsys, ["fem", "--shape", "T1", "--hmax", "0.2"])["results"]["levels"]
     assert level["mu_residual"] <= 1e-9 and level["sigma_residual"] <= 1e-9

@@ -1,12 +1,15 @@
 """Domain records and collapsing-domain sweeps against the 1D limits."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from snlab import bessel, geom2d, profiles
-from snlab.fem2d import F_of_domain, thin_sweep
+from snlab.cli import main
+from snlab.fem2d import (F_of_domain, polygon_mesh, record_from_mesh, refine,
+                         refinement_ladder, thin_sweep)
 from snlab.fem2d.functional import aitken
 
 
@@ -28,6 +31,29 @@ def test_F_of_domain_scale_invariance(hull_polygon):
     rec2 = F_of_domain(scaled, hmax=0.07 * 3.7)  # similar mesh on similar domain
     assert rec2.F == pytest.approx(rec.F, rel=1e-9)
     assert rec2.x == pytest.approx(rec.x, rel=1e-9)
+
+
+def test_refinement_ladder_records_and_observed_orders(capsys):
+    square = geom2d.resolve("square")
+    geo = geom2d.functionals(square)
+    mesh = polygon_mesh(square, 0.2)
+    records, rates = refinement_ladder(mesh, geo, 3)
+    once = refine(mesh)
+    assert records == (record_from_mesh(mesh, geo), record_from_mesh(once, geo),
+                       record_from_mesh(refine(once), geo))
+    assert set(rates) == {"mu1", "sigma1"}
+    for key, rate in rates.items():
+        a, b, c = (getattr(r, key) for r in records)
+        assert rate == math.log2((b - a) / (c - b))
+        assert 3.5 <= rate <= 4.5          # P2 eigenvalues converge as h^4
+
+    assert main(["fem", "--shape", "square", "--hmax", "0.2", "--levels", "3", "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["mu1_observed_rate"] == rates["mu1"]
+    assert res["sigma1_observed_rate"] == rates["sigma1"]
+
+    with pytest.raises(ValueError):
+        refinement_ladder(mesh, geo, 0)
 
 
 def test_aitken_accelerates_geometric_sequences():
