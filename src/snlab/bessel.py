@@ -32,10 +32,6 @@ def besselj0_prime(x: float) -> float:
     return -besselj1(x)
 
 
-def besselj1_prime(x: float) -> float:
-    return float(special.jvp(1, x))
-
-
 def j0_first_zero() -> float:
     """First positive zero of J0 (about 2.404826)."""
     return float(special.jn_zeros(0, 1)[0])

@@ -322,9 +322,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name in ("threads", "levels"):
-            if getattr(args, name, 1) < 1:
-                parser.error(f"--{name} must be at least 1")
+        for name, floor in (("threads", 1), ("levels", 1), ("restarts", 1), ("n", 0)):
+            if getattr(args, name, floor) < floor:
+                parser.error(f"--{name} must be at least {floor}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "handler", None) is None:

@@ -87,9 +87,6 @@ class TriangleMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def areas(self) -> np.ndarray:
-        return 0.5 * _signed_areas(self.nodes, self.triangles)
-
     def hmax(self) -> float:
         return float(np.sqrt(_edge_lengths_sq(self.nodes, self.triangles).max()))
 
@@ -97,11 +94,6 @@ class TriangleMesh:
         v = self.nodes[self.triangles]
         return min(_min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
                    for i in range(3))
-
-    def boundary_edges(self) -> np.ndarray:
-        """Edges on exactly one triangle, oriented with the domain on the left."""
-        edges, _, _, first, counts = _edge_table(self.triangles, self.n_nodes)
-        return edges[first[counts == 1]]
 
 
 def _edge_table(tris: np.ndarray, n_nodes: int):

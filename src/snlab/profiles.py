@@ -151,57 +151,6 @@ def scale(h: ProfileH, k: float) -> ProfileH:
     return ProfileH(h.knots, k * h.values)
 
 
-def resample(h: ProfileH, knots) -> ProfileH:
-    """Evaluate on a new knot grid (lossy unless old knots are included)."""
-    knots = np.asarray(knots, dtype=float)
-    return ProfileH(knots, h(knots))
-
-
-def positivity_constant(h: ProfileH) -> float:
-    """Largest K with h(x) >= K x(1-x) on [0, 1].
-
-    Minimizes the ratio h(x) / (x(1-x)) exactly: on each linear piece the
-    ratio has at most one interior critical point (quadratic numerator of the
-    derivative), and at an endpoint where h vanishes the ratio tends to the
-    absolute boundary slope.
-    """
-    k, v, s = h.knots, h.values, h.slopes()
-    cands = []
-    if v[0] <= 0.0:
-        cands.append(s[0])
-    if v[-1] <= 0.0:
-        cands.append(-s[-1])
-    interior = k[1:-1]
-    if interior.size:
-        cands.extend((v[1:-1] / (interior * (1.0 - interior))).tolist())
-
-    def ratio(x):
-        return h(x) / (x * (1.0 - x))
-
-    for i in range(s.size):
-        lo = max(k[i], 1e-15)
-        hi = min(k[i + 1], 1.0 - 1e-15)
-        if lo >= hi:
-            continue
-        b = s[i]
-        a = v[i] - b * k[i]
-        if b == 0.0:
-            x_star = 0.5
-            if lo < x_star < hi:
-                cands.append(ratio(x_star))
-            continue
-        disc = a * a + a * b
-        if disc < 0.0:
-            continue
-        root = np.sqrt(disc)
-        for x_star in ((-a + root) / b, (-a - root) / b):
-            if lo < x_star < hi:
-                cands.append(ratio(x_star))
-    if not cands:
-        return 0.0
-    return float(min(cands))
-
-
 def project_concave(values, knots=None) -> ProfileH:
     """Nearest concave nonnegative profile to the given ordinates.
 

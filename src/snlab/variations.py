@@ -299,13 +299,15 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
         raise ValueError("need at least 5 knots")
     if mode not in ("min", "max"):
         raise ValueError("mode must be 'min' or 'max'")
+    if restarts < 1:
+        raise ValueError("need at least 1 restart")
     sign = 1.0 if mode == "min" else -1.0
     grid = np.linspace(0.0, 1.0, knots)
     rng = np.random.default_rng(seed)
 
     best = None
     evals = 0
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         if r == 0:
             y = np.ones(knots)
         else:

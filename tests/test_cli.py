@@ -213,3 +213,17 @@ def test_diagram_explicit_paths_override_env(capsys, tmp_path, monkeypatch):
 def test_diagram_rejects_nonpositive_threads_as_usage_error(capsys, threads):
     assert main(["diagram", "--family", "named", "--n", "1", "--threads", threads]) == 1
     assert "--threads must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("restarts", ["0", "-1"])
+def test_optimize_h_rejects_nonpositive_restarts_as_usage_error(capsys, restarts):
+    assert main(["optimize-h", "--restarts", restarts, "--knots", "5",
+                 "--elements", "64", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--restarts must be at least 1" in captured.err
+
+
+def test_diagram_rejects_negative_sample_count_as_usage_error(capsys):
+    assert main(["diagram", "--family", "named", "--n", "-3"]) == 1
+    assert "--n must be at least 0" in capsys.readouterr().err

@@ -107,3 +107,5 @@ def test_optimizer_rejects_bad_arguments():
         V.optimize_F(knots=3)
     with pytest.raises(ValueError):
         V.optimize_F(mode="saddle")
+    with pytest.raises(ValueError, match="at least 1 restart"):
+        V.optimize_F(knots=5, restarts=0)
