@@ -49,6 +49,8 @@ class DomainRecord:
     sigma_residual: float
     mu_iterations: int           # Lanczos operator applications per solve
     sigma_iterations: int
+    mu_lu_nnz: int               # nonzeros of each solve's L and U factors
+    sigma_lu_nnz: int
     warning: str | None = None
 
     def as_dict(self) -> dict:
@@ -57,8 +59,8 @@ class DomainRecord:
 
 def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
     """Functional record of a meshed domain with geometry ``geo``: the one
-    path from a mesh to (mu1, sigma1, x, y, F), their residuals and the
-    solvers' operator applications."""
+    path from a mesh to (mu1, sigma1, x, y, F), their residuals, the
+    solvers' operator applications and their factors' fill."""
     system = assemble(mesh)
     mu = neumann_mu1(system)
     sg = steklov_sigma1(system)
@@ -71,6 +73,7 @@ def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
         dofs=system.n_dofs, hmax=mesh.hmax(),
         mu_residual=mu.residual, sigma_residual=sg.residual,
         mu_iterations=mu.iterations, sigma_iterations=sg.iterations,
+        mu_lu_nnz=mu.lu_nnz, sigma_lu_nnz=sg.lu_nnz,
         warning=mesh.quality_warning)
 
 

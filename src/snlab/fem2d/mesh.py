@@ -384,6 +384,7 @@ def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float,
     _require_positive(eps=eps, dx0=dx0, dx_min=dx_min)
     if not (float(layers).is_integer() and layers >= 1):
         raise MeshError(f"layers must be an integer >= 1, got {layers!r}")
+    layers = int(layers)
     xs = _thin_columns(hplus, hminus, dx0, dx_min)
     top = eps * hplus(xs)
     bot = -eps * hminus(xs)

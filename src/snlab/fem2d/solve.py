@@ -3,8 +3,9 @@
 Both pencils take one path: the Neumann pencil (K, M) and the Steklov pencil
 (K, B), written (K, W) below, are solved by shift-inverted Lanczos at a small
 negative shift s.  K is singular with the constants in its kernel and W is
-positive on constants, so K - sW is positive definite.  It is factored once,
-with an ordering for its symmetric pattern, and the operator is
+positive on constants, so K - sW is positive definite.  SuperLU factors it
+once, with the MMD ordering of its symmetric pattern and supernodes smaller
+than its defaults (``_RELAX``, ``_PANEL``), and the operator is
 
     OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
 
@@ -24,9 +25,9 @@ pass against the whole basis, repeated only when it leaves less than 1/sqrt(2)
 of the vector's W-norm (the test of Daniel, Gragg, Kaufman & Stewart, Math.
 Comp. 30, 1976), so that OP acts on the basis as the symmetric tridiagonal
 matrix T_j = tridiag(beta, alpha, beta).  After every step the eigenpairs
-(nu, y) of T_j give Ritz values, and the run stops as soon as the two largest
-satisfy ARPACK's default test (Lehoucq, Sorensen & Yang, ARPACK Users' Guide,
-1998)
+(nu, y) of T_j, from LAPACK ``dstevd`` called directly, give Ritz values, and
+the run stops as soon as the two largest satisfy ARPACK's default test
+(Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
 
     |beta_j y_j| <= eps |nu|,    eps the machine epsilon,
 
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 from scipy.sparse.linalg import splu
 
 from .assemble import FEMSystem
@@ -61,6 +62,12 @@ RESIDUAL_TOL = 1e-9
 _MAX_STEPS = 100                 # Lanczos step cap; campaign and strip solves take 12-29
 _BLOCK = 32                      # basis rows allocated at a time
 _EPS = np.finfo(float).eps
+# SuperLU supernode settings; its defaults are relax 10, panel_size 20.  Mean
+# factor time over 20 campaign and 12 strip matrices fell from 12-14 to 10 ms
+# and from 5 to 3.3 ms at (1, 2), level with (1, 1), (2, 2) and (2, 4); (1, 4),
+# (1, 8), (4, 8) and (5, 10) were slower, and the fill never changed.  The
+# sweep is in CHANGES.md.  Keep relax <= panel_size.
+_RELAX, _PANEL = 1, 2
 
 
 class FEMError(RuntimeError):
@@ -115,7 +122,9 @@ def _lanczos(solve, W, v0, kind: str):
             wq = W @ q
             norm = np.sqrt(q @ wq)
         if j:
-            nu, S = eigh_tridiagonal(alpha, beta, check_finite=False)
+            nu, S, info = dstevd(alpha, beta, compute_v=1)
+            if info:
+                raise FEMError(f"{kind} tridiagonal eigensolve failed (LAPACK info {info})")
             nu, S = nu[-2:], S[:, -2:]
             if np.all(np.abs(norm * S[-1]) <= _EPS * np.abs(nu)):
                 return nu, Q[:j + 1].T @ S, j + 2
@@ -132,7 +141,8 @@ def _first_nonzero(system: FEMSystem, W, kind: str, length_power: int) -> EigenP
     shift = -0.5 * (np.pi / float(np.sqrt(span @ span))) ** length_power
     v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
     try:
-        lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  relax=_RELAX, panel_size=_PANEL)
     except RuntimeError as exc:   # singular factor
         raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
     nu, vecs, steps = _lanczos(lu.solve, W, v0, kind)

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from snlab import __version__, bessel, profiles, sl1d
+from snlab import __version__, bessel, geom2d, profiles, sl1d
 from snlab.cli import main
+from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1
 
 PI2 = math.pi ** 2
 
@@ -152,6 +153,9 @@ def test_fem_levels_report_solver_stats(capsys):
     (level,) = run_json(capsys, ["fem", "--shape", "T1", "--hmax", "0.2"])["results"]["levels"]
     assert level["mu_residual"] <= 1e-9 and level["sigma_residual"] <= 1e-9
     assert 2 < level["mu_iterations"] <= 40 and 2 < level["sigma_iterations"] <= 40
+    system = assemble(polygon_mesh(geom2d.resolve("T1"), 0.2))
+    assert level["mu_lu_nnz"] == neumann_mu1(system).lu_nnz >= level["dofs"]
+    assert level["sigma_lu_nnz"] == steklov_sigma1(system).lu_nnz >= level["dofs"]
 
 
 def test_thin_sweep_tent(capsys):

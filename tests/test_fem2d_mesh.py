@@ -120,6 +120,13 @@ def test_thin_mesh_rectangle_node_layout():
     assert _areas(mesh).sum() == pytest.approx(0.125, rel=1e-12)
 
 
+def test_thin_mesh_accepts_integral_float_layers():
+    want = thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.05, layers=4)
+    got = thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.05, layers=4.0)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.triangles, want.triangles)
+
+
 def test_thin_mesh_grades_columns_toward_degenerate_tips():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
     mesh = thin_mesh(half, half, 0.1, dx0=0.2, layers=2)
@@ -147,6 +154,7 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx_min=0.0),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=2.5),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-300),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-7),
     lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),
@@ -156,8 +164,8 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
                          np.array([[0, 1, 2]])),
 ], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx_min-zero", "layers-zero",
-        "dx0-1e-300", "dx0-1e-7", "hmax-nan", "hmax-inf", "hmax-zero", "no-triangles",
-        "nan-node"])
+        "layers-fraction", "dx0-1e-300", "dx0-1e-7", "hmax-nan", "hmax-inf", "hmax-zero",
+        "no-triangles", "nan-node"])
 def test_degenerate_inputs_raise_mesh_error(make):
     with pytest.raises(MeshError):
         make()
