@@ -150,8 +150,8 @@ def _cmd_fem(args):
     levels = [{k: getattr(rec, k)
                for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F",
                          "mu_residual", "sigma_residual",
-                         "mu_iterations", "sigma_iterations",
-                         "mu_lu_nnz", "sigma_lu_nnz")} for rec in records]
+                         "mu_iterations", "sigma_iterations", "mu_lu_nnz",
+                         "sigma_lu_nnz", "mu_shift", "sigma_shift")} for rec in records]
     results = {"area": g.area, "perimeter": g.perimeter, "levels": levels}
     results.update({f"{key}_observed_rate": rate for key, rate in rates.items()})
     final = levels[-1]

@@ -51,6 +51,8 @@ class DomainRecord:
     sigma_iterations: int
     mu_lu_nnz: int               # nonzeros of each solve's L and U factors
     sigma_lu_nnz: int
+    mu_shift: float              # each solve's shift; negative after a fallback
+    sigma_shift: float
     warning: str | None = None
 
     def as_dict(self) -> dict:
@@ -60,7 +62,7 @@ class DomainRecord:
 def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
     """Functional record of a meshed domain with geometry ``geo``: the one
     path from a mesh to (mu1, sigma1, x, y, F), their residuals, the
-    solvers' operator applications and their factors' fill."""
+    solvers' operator applications, their factors' fill and their shifts."""
     system = assemble(mesh)
     mu = neumann_mu1(system)
     sg = steklov_sigma1(system)
@@ -74,6 +76,7 @@ def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
         mu_residual=mu.residual, sigma_residual=sg.residual,
         mu_iterations=mu.iterations, sigma_iterations=sg.iterations,
         mu_lu_nnz=mu.lu_nnz, sigma_lu_nnz=sg.lu_nnz,
+        mu_shift=mu.shift, sigma_shift=sg.shift,
         warning=mesh.quality_warning)
 
 

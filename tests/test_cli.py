@@ -154,8 +154,12 @@ def test_fem_levels_report_solver_stats(capsys):
     assert level["mu_residual"] <= 1e-9 and level["sigma_residual"] <= 1e-9
     assert 2 < level["mu_iterations"] <= 40 and 2 < level["sigma_iterations"] <= 40
     system = assemble(polygon_mesh(geom2d.resolve("T1"), 0.2))
-    assert level["mu_lu_nnz"] == neumann_mu1(system).lu_nnz >= level["dofs"]
-    assert level["sigma_lu_nnz"] == steklov_sigma1(system).lu_nnz >= level["dofs"]
+    mu, sigma = neumann_mu1(system), steklov_sigma1(system)
+    assert level["mu_lu_nnz"] == mu.lu_nnz >= level["dofs"]
+    assert level["sigma_lu_nnz"] == sigma.lu_nnz >= level["dofs"]
+    # each shift lies below its eigenvalue; a fallback would show as negative
+    assert 0.0 < level["mu_shift"] == mu.shift < level["mu1"]
+    assert 0.0 < level["sigma_shift"] == sigma.shift < level["sigma1"]
 
 
 def test_thin_sweep_tent(capsys):

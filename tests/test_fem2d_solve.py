@@ -1,5 +1,6 @@
 """P2 assembly patch tests, eigenvalue accuracy, invariances, and rates."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -184,18 +185,18 @@ def test_stiffness_and_mass_equal_separate_conversions(monkeypatch):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
 
 
-def _eigsh_first_nonzero(system, W, length_power):
-    """Reference route: the ARPACK call that the Lanczos run replaced, with
-    the same shift, ordering and start vector, on a factor with SuperLU's
-    default supernode settings; returns (eigenvalue, residual, L + U nnz)."""
+def _eigsh_first_nonzero(system, W, shift):
+    """Reference route: the ARPACK call that the Lanczos run replaced, at the
+    solve's shift and with its start vector, on a factor with SuperLU's
+    default supernode settings; returns (eigenvalue, residual, L + U nnz).
+    The shift lies in (lambda_1 / 2, lambda_1), so lambda_1 is the eigenvalue
+    nearest it."""
     K = system.K
-    span = system.nodes.max(axis=0) - system.nodes.min(axis=0)
-    shift = -0.5 * (np.pi / float(np.sqrt(span @ span))) ** length_power
     v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
     lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A")
     op = LinearOperator(K.shape, matvec=lu.solve, dtype=float)
     vals, vecs = eigsh(K, k=2, M=W, sigma=shift, which="LM", OPinv=op, v0=v0)
-    i = np.argsort(vals)[1]
+    i = np.argmin(np.abs(vals - shift))
     return (float(vals[i]), fem_solve._relative_residual(K, W, vals[i], vecs[:, i]),
             lu.L.nnz + lu.U.nnz)
 
@@ -220,12 +221,17 @@ _LANCZOS_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_LANCZOS_CASES))
-def test_lanczos_matches_eigsh(case):
-    system = assemble(_LANCZOS_CASES[case]())
-    for solver, W, power in ((neumann_mu1, system.M, 2), (steklov_sigma1, system.B, 1)):
-        pair = solver(system)
-        value, residual, lu_nnz = _eigsh_first_nonzero(system, W, power)
+@pytest.fixture(scope="module", params=list(_LANCZOS_CASES))
+def lanczos_case(request):
+    """An assembled case and its (W, pair) for both pencils, solved once."""
+    system = assemble(_LANCZOS_CASES[request.param]())
+    return system, ((system.M, neumann_mu1(system)), (system.B, steklov_sigma1(system)))
+
+
+def test_lanczos_matches_eigsh(lanczos_case):
+    system, solved = lanczos_case
+    for W, pair in solved:
+        value, residual, lu_nnz = _eigsh_first_nonzero(system, W, pair.shift)
         assert pair.eigenvalue == pytest.approx(value, rel=1e-12)
         # the eigenvector is as accurate as ARPACK's: a looser stop rule
         # (Ritz tolerance 1e-12) leaves residuals 7 to 1200 times larger
@@ -233,6 +239,46 @@ def test_lanczos_matches_eigsh(case):
         assert 2 < pair.iterations <= 40
         # the supernode settings change the factor's cost, not its fill
         assert pair.lu_nnz == lu_nnz
+
+
+def test_shift_lies_below_first_eigenvalue(lanczos_case):
+    """The pencil restricted to span{1, x, y} has eigenvalues 0 <= rho <=
+    rho'; rho bounds lambda_1 from above (min-max), and the shift, a fixed
+    fraction of rho, lies in (0, lambda_1), so no fallback ran.  Without the
+    deflation of the constants the zero mode trips the guard everywhere."""
+    system, solved = lanczos_case
+    V = np.column_stack([np.ones(system.n_dofs), system.nodes])
+    for W, pair in solved:
+        rho = eigh(V.T @ (system.K @ V), V.T @ (W @ V), eigvals_only=True)[1]
+        assert pair.shift == pytest.approx(fem_solve._SHIFT_FRACTION * rho, rel=1e-10)
+        assert rho >= pair.eigenvalue
+        assert 0.0 < pair.shift < pair.eigenvalue
+
+
+@pytest.mark.parametrize("mesh_of", [
+    lambda: polygon_mesh(geom2d.named("T1"), 0.1),
+    lambda: _campaign_mesh(0),
+], ids=["T1", "randomPolygon-0000"])
+def test_overshooting_shift_falls_back(monkeypatch, mesh_of):
+    """At 1.6 rho the shift lies above sigma_1, whose nu turns negative; the
+    largest nu then belongs to a higher eigenvalue with a residual as small
+    as any, so only the guard on the smallest Ritz value catches it."""
+    system = assemble(mesh_of())
+    expected = steklov_sigma1(system).eigenvalue
+    monkeypatch.setattr(fem_solve, "_SHIFT_FRACTION", 1.6)
+    pair = steklov_sigma1(system)
+    assert pair.shift < 0.0
+    assert pair.eigenvalue == pytest.approx(expected, rel=1e-12)
+    assert pair.residual <= RESIDUAL_TOL
+
+
+def test_nonpositive_shift_bound_raises():
+    """With K negated the linear functions' Rayleigh quotients turn negative,
+    so rho can bound no positive eigenvalue and no shift is formed."""
+    system = assemble(polygon_mesh(geom2d.named("T1"), 0.2))
+    flipped = dataclasses.replace(system, K=-system.K)
+    with pytest.raises(FEMError, match="neumann Rayleigh-quotient bound"):
+        neumann_mu1(flipped)
 
 
 def test_lanczos_step_cap_raises(monkeypatch):
@@ -287,8 +333,12 @@ def test_factor_settings_survive_many_factors():
 
 
 def test_lanczos_breakdown_raises():
-    """OP = 2 I leaves no direction after the first: an invariant subspace
-    that holds one Ritz value cannot certify two."""
+    """OP = 2 I leaves no direction after the first, and the stop test is
+    first taken after the second step.  The start is W-orthogonal to the
+    deflated constants, which would remove ones(5) at once, and its unit
+    vector and alpha are exact, so the step leaves exactly zero."""
     W = sparse.identity(5, format="csr")
-    with pytest.raises(FEMError, match="broke down"):
-        fem_solve._lanczos(lambda x: 2.0 * x, W, np.ones(5), "test")
+    z = np.full(5, 1.0 / math.sqrt(5.0))
+    v0 = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
+    with pytest.raises(FEMError, match="broke down at step 2"):
+        fem_solve._lanczos(lambda x: 2.0 * x, W, v0, z, "test")
