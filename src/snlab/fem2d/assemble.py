@@ -5,7 +5,8 @@ The 7-point degree-5 triangle rule integrates the quadratic stiffness and
 quartic mass integrands exactly, so assembly introduces no quadrature error.
 The boundary mass matrix uses the exact one-dimensional P2 mass matrix per
 boundary edge and is supported on boundary degrees of freedom only.
-K and M share one CSR pattern, sorted and summed once per mesh.
+K, M and B are CSC matrices on the P2 elements' pattern and share its index
+arrays; a boundary edge lies in a triangle, so B fits it with zeros elsewhere.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ class FEMSystem:
 
     nodes: np.ndarray            # all P2 node coordinates, corners first
     boundary_dofs: np.ndarray    # sorted unique boundary degrees of freedom
-    K: sparse.csr_matrix
-    M: sparse.csr_matrix
-    B: sparse.csr_matrix
+    K: sparse.csc_matrix         # K, M and B share one indices and indptr:
+    M: sparse.csc_matrix         # change them in place on none of the three
+    B: sparse.csc_matrix         # zero outside boundary_dofs
 
     @property
     def n_dofs(self) -> int:
@@ -94,40 +95,32 @@ def _p2_connectivity(mesh: TriangleMesh):
 def assemble(mesh: TriangleMesh) -> FEMSystem:
     nodes, tri6, btriples = _p2_connectivity(mesh)
     corners = mesh.nodes[mesh.triangles]
-    j11 = corners[:, 1, 0] - corners[:, 0, 0]
-    j12 = corners[:, 2, 0] - corners[:, 0, 0]
-    j21 = corners[:, 1, 1] - corners[:, 0, 1]
-    j22 = corners[:, 2, 1] - corners[:, 0, 1]
+    (j11, j21), (j12, j22) = (corners[:, 1] - corners[:, 0]).T, (corners[:, 2] - corners[:, 0]).T
     det = j11 * j22 - j12 * j21
     area = 0.5 * det
-    # C = Jinv Jinv^T scaled per element
-    inv11, inv12 = j22 / det, -j12 / det
-    inv21, inv22 = -j21 / det, j11 / det
-    C = np.empty((mesh.n_triangles, 2, 2))
-    C[:, 0, 0] = inv11 * inv11 + inv12 * inv12
-    C[:, 0, 1] = inv11 * inv21 + inv12 * inv22
-    C[:, 1, 0] = C[:, 0, 1]
-    C[:, 1, 1] = inv21 * inv21 + inv22 * inv22
-
+    # C = Jinv Jinv^T per element
+    inv11, inv12, inv21, inv22 = j22 / det, -j12 / det, -j21 / det, j11 / det
+    c01 = inv11 * inv21 + inv12 * inv22
+    C = np.stack([inv11 * inv11 + inv12 * inv12, c01, c01, inv21 * inv21 + inv22 * inv22],
+                 axis=1).reshape(-1, 2, 2)
     ke = np.einsum("e,eab,ijab->eij", area, C, _STIFF_REF)
     me = area[:, None, None] * _MASS_REF
 
-    rows = np.repeat(tri6, 6, axis=1).ravel()
-    cols = np.tile(tri6, (1, 6)).ravel()
+    rows, cols = np.repeat(tri6, 6, axis=1).ravel(), np.tile(tri6, (1, 6)).ravel()
     n = nodes.shape[0]
     # one conversion sorts the pattern and sums duplicates for K (real part) and
     # M (imaginary part); complex addition rounds each part as real addition
     # does, so both equal their separate conversions bit for bit
-    KM = sparse.coo_matrix(((ke + 1j * me).ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K = sparse.csr_matrix((KM.data.real.copy(), KM.indices, KM.indptr), shape=(n, n))
-    M = sparse.csr_matrix((KM.data.imag.copy(), KM.indices.copy(), KM.indptr.copy()),
-                          shape=(n, n))
+    KM = sparse.coo_matrix(((ke + 1j * me).ravel(), (rows, cols)), shape=(n, n)).tocsc()
 
     lengths = np.hypot(*(nodes[btriples[:, 1]] - nodes[btriples[:, 0]]).T)
     be = lengths[:, None, None] * _EDGE_MASS
-    brows = np.repeat(btriples, 3, axis=1).ravel()
-    bcols = np.tile(btriples, (1, 3)).ravel()
-    B = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsr()
-
-    bdofs = np.unique(btriples.ravel())
-    return FEMSystem(nodes=nodes, boundary_dofs=bdofs, K=K, M=M, B=B)
+    brows, bcols = np.repeat(btriples, 3, axis=1).ravel(), np.tile(btriples, (1, 3)).ravel()
+    Bb = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsc()
+    # B's entries lie in the pattern: place them by their sorted column-major keys
+    keys = [A.indices + n * np.repeat(np.arange(n), np.diff(A.indptr)) for A in (KM, Bb)]
+    bdata = np.zeros(KM.nnz)
+    bdata[np.searchsorted(*keys)] = Bb.data
+    K, M, B = (sparse.csc_matrix((data, KM.indices, KM.indptr), shape=(n, n))
+               for data in (KM.data.real.copy(), KM.data.imag.copy(), bdata))
+    return FEMSystem(nodes=nodes, boundary_dofs=np.unique(btriples.ravel()), K=K, M=M, B=B)

@@ -199,7 +199,7 @@ def _delaunay(points: np.ndarray) -> np.ndarray:
     span = points.max(axis=0) - points.min(axis=0)
     scale = float(np.hypot(*span))
     tris = tris[np.abs(_signed_areas(points, tris)) > 1e-10 * scale * scale]
-    if np.unique(tris).size != len(points):
+    if not np.bincount(tris.ravel(), minlength=len(points)).all():
         raise MeshError("triangulation leaves points unused")
     return _orient_ccw(points, tris)
 

@@ -7,10 +7,13 @@ constants in its kernel, and W is positive on constants.  Let X be the node
 coordinates, each column minus its W-weighted mean, and rho the smaller
 eigenvalue of the 2x2 pencil (X.K X, X.W X).  Linear functions lie in the P2
 space and X is W-orthogonal to the constants, so rho >= lambda_1 by min-max;
-s = ``_SHIFT_FRACTION`` * rho.  SuperLU factors K - sW once, with the MMD
-ordering of its symmetric pattern, supernodes smaller than its defaults
-(``_RELAX``, ``_PANEL``) and its threshold pivoting, which the indefinite
-K - sW needs (unpivoted, a disk's residual grew 25-fold).  The operator is
+s = ``_SHIFT_FRACTION`` * rho.  K and W are CSC on one pattern (see
+``assemble``), so K - sW is an axpy on their data arrays; its exact zeros
+are dropped, or MMD would order them (on a strip they grew the factor by
+23%).  SuperLU factors K - sW once, with the MMD ordering of its symmetric
+pattern, supernodes smaller than its defaults (``_RELAX``, ``_PANEL``) and
+its threshold pivoting, which the indefinite K - sW needs (unpivoted, a
+disk's residual grew 25-fold).  The operator is
 
     OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
 
@@ -62,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dstevd
 from scipy.sparse.linalg import splu
@@ -148,21 +152,24 @@ def _lanczos(solve, W, v0, z, kind: str):
     raise FEMError(f"{kind} Lanczos did not converge in {_MAX_STEPS} steps")
 
 
-def _first_nonzero(system: FEMSystem, W, kind: str) -> EigenPair2D:
-    """Smallest nonzero eigenvalue of (K, W), certified by the guard and the
-    full-pencil residual."""
-    K = system.K
-    w1 = W @ np.ones(system.n_dofs)
-    X = system.nodes - (w1 @ system.nodes) / w1.sum()
+def _first_nonzero(K, W, coords, kind: str) -> EigenPair2D:
+    """Smallest nonzero eigenvalue of (K, W), CSC matrices on one pattern, with
+    the dofs at ``coords``; certified by the guard and the full-pencil residual."""
+    n = K.shape[0]
+    w1 = W @ np.ones(n)
+    X = coords - (w1 @ coords) / w1.sum()
     rho = float(eigh(X.T @ (K @ X), X.T @ (W @ X), eigvals_only=True)[0])
     if not 0 < rho < np.inf:
         raise FEMError(f"{kind} Rayleigh-quotient bound {rho} is not finite and positive")
-    z = np.full(system.n_dofs, 1.0 / np.sqrt(w1.sum()))
-    v0 = np.random.default_rng(0x5EED).standard_normal(system.n_dofs)
+    z = np.full(n, 1.0 / np.sqrt(w1.sum()))
+    v0 = np.random.default_rng(0x5EED).standard_normal(n)
     for shift in (_SHIFT_FRACTION * rho, -0.5 * rho):
+        # copies, as dropping zeros in place would rewrite every matrix sharing them
+        A = sparse.csc_matrix((K.data - shift * W.data, K.indices.copy(), K.indptr.copy()),
+                              shape=K.shape)
+        A.eliminate_zeros()
         try:
-            lu = splu((K - shift * W).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      relax=_RELAX, panel_size=_PANEL)
+            lu = splu(A, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
         except RuntimeError as exc:   # singular factor
             raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
         nu, vec, steps = _lanczos(lu.solve, W, v0, z, kind)
@@ -178,8 +185,8 @@ def _first_nonzero(system: FEMSystem, W, kind: str) -> EigenPair2D:
 
 
 def neumann_mu1(system: FEMSystem) -> EigenPair2D:
-    return _first_nonzero(system, system.M, "neumann")
+    return _first_nonzero(system.K, system.M, system.nodes, "neumann")
 
 
 def steklov_sigma1(system: FEMSystem) -> EigenPair2D:
-    return _first_nonzero(system, system.B, "steklov")
+    return _first_nonzero(system.K, system.B, system.nodes, "steklov")

@@ -165,9 +165,11 @@ def test_parabolic_strip_steklov_solve_stays_sparse():
     assert peak < 64 * 2 ** 20
 
 
-def test_stiffness_and_mass_equal_separate_conversions(monkeypatch):
-    """K and M come out of one complex COO-to-CSR conversion; each must equal
-    the real conversion of its own part bit for bit."""
+def test_matrices_share_one_pattern_and_equal_their_own_conversions(monkeypatch):
+    """K and M come out of one complex COO-to-CSC conversion and B out of its
+    own, placed on their pattern.  The three share one indices and indptr;
+    each equals the real conversion of its own element data bit for bit, and
+    B is exactly zero off the boundary."""
     made = []
     coo = sparse.coo_matrix
 
@@ -178,11 +180,23 @@ def test_stiffness_and_mass_equal_separate_conversions(monkeypatch):
     monkeypatch.setattr(sparse, "coo_matrix", recording_coo)
     system = assemble(polygon_mesh(geom2d.random_hull(15, rng=np.random.default_rng(7)), 0.05))
     monkeypatch.undo()
+    K, M, B = system.K, system.M, system.B
+    assert all(A.format == "csc" for A in (K, M, B))
+    for A in (M, B):
+        assert np.shares_memory(A.indices, K.indices) and np.shares_memory(A.indptr, K.indptr)
+        assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
     km = next(m for m in made if np.iscomplexobj(m.data))
-    for part, got in ((km.data.real, system.K), (km.data.imag, system.M)):
-        want = sparse.coo_matrix((part, (km.row, km.col)), shape=km.shape).tocsr()
+    for part, got in ((km.data.real, K), (km.data.imag, M)):
+        want = sparse.coo_matrix((part, (km.row, km.col)), shape=km.shape).tocsc()
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr))
+    b = next(m for m in made if not np.iscomplexobj(m.data))
+    want = sparse.coo_matrix((b.data, (b.row, b.col)), shape=b.shape).tocsc().tocoo()
+    assert np.array_equal(np.asarray(B[want.row, want.col]).ravel(), want.data)
+    assert np.count_nonzero(B.data) == np.count_nonzero(want.data)
+    cols = np.repeat(np.arange(B.shape[1]), np.diff(B.indptr))
+    on_boundary = np.isin(B.indices, system.boundary_dofs) & np.isin(cols, system.boundary_dofs)
+    assert B.nnz > 2 * want.nnz and not B.data[~on_boundary].any()
 
 
 def _eigsh_first_nonzero(system, W, shift):
@@ -253,6 +267,50 @@ def test_shift_lies_below_first_eigenvalue(lanczos_case):
         assert pair.shift == pytest.approx(fem_solve._SHIFT_FRACTION * rho, rel=1e-10)
         assert rho >= pair.eigenvalue
         assert 0.0 < pair.shift < pair.eigenvalue
+
+
+_ZERO_CASES = {
+    "tent-strip": _tent_strip,
+    "square-0.05": lambda: polygon_mesh(geom2d.named("square"), 0.05),
+    "randomPolygon-0000": lambda: _campaign_mesh(0),
+}
+
+
+@pytest.mark.parametrize("mesh_of", list(_ZERO_CASES.values()), ids=list(_ZERO_CASES))
+def test_factored_matrix_equals_sparse_difference(monkeypatch, mesh_of):
+    """The axpy on the shared pattern hands splu the matrix that the sparse
+    subtraction K - sW gives, bit for bit, for both pencils.  K holds exact
+    zeros on the strip and on the square; the subtraction drops them, and so
+    must the axpy, or MMD orders them and the fill grows."""
+    system = assemble(mesh_of())
+    handed, real_splu = [], fem_solve.splu
+
+    def recording_splu(A, *args, **kwargs):
+        handed.append(A.copy())
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem_solve, "splu", recording_splu)
+    for W, solve in ((system.M, neumann_mu1), (system.B, steklov_sigma1)):
+        pair = solve(system)
+        want = (system.K - pair.shift * W).tocsc()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(handed[-1], attr), getattr(want, attr))
+
+
+@pytest.mark.parametrize("mesh_of", list(_ZERO_CASES.values()), ids=list(_ZERO_CASES))
+def test_solves_leave_the_system_untouched(mesh_of):
+    """K, M and B share their index arrays; dropping the zeros of K - sW in
+    place on them would rewrite all three."""
+    system = assemble(mesh_of())
+
+    def arrays():
+        return [getattr(A, attr).copy() for A in (system.K, system.M, system.B)
+                for attr in ("data", "indices", "indptr")]
+
+    before = arrays()
+    neumann_mu1(system)
+    steklov_sigma1(system)
+    assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
 
 @pytest.mark.parametrize("mesh_of", [
