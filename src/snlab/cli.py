@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -64,12 +65,6 @@ def _out_path(given: str | None, default_name: str) -> str:
     if given:
         return given
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
-
-
-def _report_to_dict(r: variations.VariationReport) -> dict:
-    return {"quantity": r.quantity, "direction": r.direction,
-            "analytic": r.analytic, "finite_difference": r.finite_difference,
-            "relative_error": r.relative_error, "observed_order": r.observed_order}
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +179,20 @@ def _cmd_thin(args):
 
 def _cmd_variation_check(args):
     elements = args.elements
-    reports = []
-    for label, phi in (("const", variations.linear_direction(0.0, 1.0)),
-                       ("x", variations.linear_direction(1.0)),
-                       ("cos(2 pi x)", variations.cosine_direction())):
-        for fn in (variations.first_variation_sigma, variations.first_variation_mu,
-                   variations.first_variation_F):
-            reports.append(_report_to_dict(fn(phi, elements=elements, label=label)))
-    n_random = 5 if args.all else 2
     rng = np.random.default_rng(args.seed)
-    for k in range(n_random):
-        phi = profiles.random_profile(rng)
-        for fn in (variations.first_variation_sigma, variations.first_variation_mu,
-                   variations.first_variation_F):
-            reports.append(_report_to_dict(fn(phi, elements=elements, label=f"random-{k}")))
-    flat = variations.first_variation_F(
-        variations.linear_direction(0.7, 0.3), elements=elements, label="0.3 + 0.7 x")
-    second = [_report_to_dict(fn(1.0, elements=elements))
-              for fn in (variations.second_variation_sigma_linear,
-                         variations.second_variation_mu_linear,
-                         variations.second_variation_F_linear)]
+    directions = [("const", variations.linear_direction(0.0, 1.0)),
+                  ("x", variations.linear_direction(1.0)),
+                  ("cos(2 pi x)", variations.cosine_direction())]
+    directions += [(f"random-{k}", profiles.random_profile(rng))
+                   for k in range(5 if args.all else 2)]
+    reports = [asdict(r) for label, phi in directions
+               for r in variations.first_variations(phi, elements, label).values()]
+    flat = variations.first_variations(
+        variations.linear_direction(0.7, 0.3), elements, "0.3 + 0.7 x")["F"]
+    second = [asdict(r) for r in variations.second_variations_linear(1.0, elements).values()]
     results = {
         "first_variations": reports,
-        "flat_direction": _report_to_dict(flat),
+        "flat_direction": asdict(flat),
         "second_variations": second,
         "eigenfunction_residuals": variations.eigenfunction_derivative_residuals(),
         "second_variation_quadrature": variations.second_variation_quadrature_check(),

@@ -10,10 +10,14 @@ space and X is W-orthogonal to the constants, so rho >= lambda_1 by min-max;
 s = ``_SHIFT_FRACTION`` * rho.  K and W are CSC on one pattern (see
 ``assemble``), so K - sW is an axpy on their data arrays; its exact zeros
 are dropped, or MMD would order them (on a strip they grew the factor by
-23%).  SuperLU factors K - sW once, with the MMD ordering of its symmetric
-pattern, supernodes smaller than its defaults (``_RELAX``, ``_PANEL``) and
-its threshold pivoting, which the indefinite K - sW needs (unpivoted, a
-disk's residual grew 25-fold).  The operator is
+23%).  B stores zeros on that pattern off the boundary (on a seed-7 campaign
+polygon, 40,312 of its 41,248 entries), so every product by W goes through a
+copy of W with its zeros dropped, one code path for both pencils (the copy of
+M drops nothing).  Adding a stored zero changes no sum, so the products are
+bit-identical, at a quarter of the cost.  SuperLU factors K - sW once, with
+the MMD ordering of its symmetric pattern, supernodes smaller than its
+defaults (``_RELAX``, ``_PANEL``) and its threshold pivoting, which the
+indefinite K - sW needs (unpivoted, a disk's residual grew 25-fold).  The operator is
 
     OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
 
@@ -156,9 +160,11 @@ def _first_nonzero(K, W, coords, kind: str) -> EigenPair2D:
     """Smallest nonzero eigenvalue of (K, W), CSC matrices on one pattern, with
     the dofs at ``coords``; certified by the guard and the full-pencil residual."""
     n = K.shape[0]
-    w1 = W @ np.ones(n)
+    Wp = W.copy()                # own index arrays; products skip the stored zeros
+    Wp.eliminate_zeros()
+    w1 = Wp @ np.ones(n)
     X = coords - (w1 @ coords) / w1.sum()
-    rho = float(eigh(X.T @ (K @ X), X.T @ (W @ X), eigvals_only=True)[0])
+    rho = float(eigh(X.T @ (K @ X), X.T @ (Wp @ X), eigvals_only=True)[0])
     if not 0 < rho < np.inf:
         raise FEMError(f"{kind} Rayleigh-quotient bound {rho} is not finite and positive")
     z = np.full(n, 1.0 / np.sqrt(w1.sum()))
@@ -172,11 +178,11 @@ def _first_nonzero(K, W, coords, kind: str) -> EigenPair2D:
             lu = splu(A, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
         except RuntimeError as exc:   # singular factor
             raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
-        nu, vec, steps = _lanczos(lu.solve, W, v0, z, kind)
+        nu, vec, steps = _lanczos(lu.solve, Wp, v0, z, kind)
         if nu[0] >= 0:               # no eigenvalue in (0, s)
             break
     lam = shift + 1.0 / float(nu[-1])
-    res = _relative_residual(K, W, lam, vec)
+    res = _relative_residual(K, Wp, lam, vec)
     if res > RESIDUAL_TOL:
         raise FEMError(f"{kind} residual {res:.2e} above {RESIDUAL_TOL}")
     # lu.nnz is L.nnz + U.nnz at relax 1 (no padded supernodes), without copies

@@ -18,6 +18,11 @@ witnessed by closed-form eigenfunction derivatives whose ODE, endpoint, and
 side-condition residuals this module evaluates analytically.  Finite
 differences of the Galerkin eigenvalues validate every formula; F is scale
 invariant, so the perturbed weight never needs renormalizing.
+
+Two entry points run the finite differences: ``first_variations(phi)`` and
+``second_variations_linear(A)``.  Each solves every perturbed profile once,
+with ``sl1d.f_record``, and returns ``{"sigma", "mu", "F"}`` reports
+differenced from the same records.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ FIRST_ORDER_STEPS = (1e-3, 5e-4, 2.5e-4)
 SECOND_ORDER_STEPS = (2e-3, 1e-3, 5e-4)
 _STEP0, _STEP_MIN = 0.25, 1e-4   # first and smallest pattern-search step
 _SQRT2 = math.sqrt(2.0)
+# closed-form second variations along phi = A x at h = 1
+_SECOND_LINEAR = {
+    "sigma": lambda A: A * A * (3.0 - math.pi ** 2) / 8.0,
+    "mu": lambda A: 1.5 * A * A,
+    "F": lambda A: A * A * (9.0 + math.pi ** 2) / (8.0 * math.pi ** 2),
+}
 
 
 @dataclass(frozen=True)
@@ -42,8 +53,8 @@ class VariationReport:
     direction: str
     analytic: float
     finite_difference: float     # Richardson combination of the two finest steps
-    observed_order: float
     relative_error: float
+    observed_order: float
 
 
 def integral_cos(phi: ProfileH, k: float) -> float:
@@ -87,66 +98,45 @@ def _perturbed(phi: ProfileH, t: float) -> ProfileH:
     return ProfileH(phi.knots, 1.0 + t * phi.values)
 
 
-def _evaluate(quantity: str, h: ProfileH, elements: int) -> float:
-    if quantity == "sigma":
-        return sl1d.sigma1(h, elements).eigenvalue
-    if quantity == "mu":
-        return sl1d.mu1(h, elements).eigenvalue
-    if quantity == "F":
-        return sl1d.F_of_h(h, elements)
-    raise ValueError(f"unknown quantity {quantity!r}")
-
-
-def _fd_report(quantity: str, label: str, phi: ProfileH, analytic: float,
-               order: int, elements: int) -> VariationReport:
+def _fd_reports(phi: ProfileH, label: str, analytic: dict, order: int,
+                elements: int) -> dict:
+    """Richardson-combined central differences of sigma1, mu1 and F along
+    1 + t*phi, all three from one ``sl1d.f_record`` per perturbed profile."""
     steps = FIRST_ORDER_STEPS if order == 1 else SECOND_ORDER_STEPS
-    base = _evaluate(quantity, _perturbed(phi, 0.0), elements) if order == 2 else 0.0
-    d = []
-    for t in steps:
-        fp = _evaluate(quantity, _perturbed(phi, t), elements)
-        fm = _evaluate(quantity, _perturbed(phi, -t), elements)
-        if order == 1:
-            d.append((fp - fm) / (2.0 * t))
-        else:
-            d.append((fp - 2.0 * base + fm) / (t * t))
-    num, den = d[-3] - d[-2], d[-2] - d[-1]
+    base = sl1d.f_record(_perturbed(phi, 0.0), elements) if order == 2 else None
+    records = [(sl1d.f_record(_perturbed(phi, t), elements),
+                sl1d.f_record(_perturbed(phi, -t), elements)) for t in steps]
     rho = steps[-3] / steps[-2]
-    observed = math.log(abs(num / den)) / math.log(rho) \
-        if den != 0.0 and num / den > 0.0 else float("nan")
-    rich = d[-1] + (d[-1] - d[-2]) / (rho * rho - 1.0)
-    return VariationReport(
-        quantity=quantity, direction=label, analytic=analytic,
-        finite_difference=rich, observed_order=observed,
-        relative_error=abs(rich - analytic) / max(abs(analytic), 1e-300))
+    reports = {}
+    for quantity, key in (("sigma", "sigma1"), ("mu", "mu1"), ("F", "F")):
+        if order == 1:
+            d = [(fp[key] - fm[key]) / (2.0 * t) for t, (fp, fm) in zip(steps, records)]
+        else:
+            d = [(fp[key] - 2.0 * base[key] + fm[key]) / (t * t)
+                 for t, (fp, fm) in zip(steps, records)]
+        num, den = d[-3] - d[-2], d[-2] - d[-1]
+        observed = math.log(abs(num / den)) / math.log(rho) \
+            if den != 0.0 and num / den > 0.0 else float("nan")
+        rich = d[-1] + (d[-1] - d[-2]) / (rho * rho - 1.0)
+        exact = analytic[quantity]
+        reports[quantity] = VariationReport(
+            quantity=quantity, direction=label, analytic=exact,
+            finite_difference=rich,
+            relative_error=abs(rich - exact) / max(abs(exact), 1e-300),
+            observed_order=observed)
+    return reports
 
 
-def first_variation_sigma(phi: ProfileH, elements: int = 2048,
-                          label: str = "phi") -> VariationReport:
-    return _fd_report("sigma", label, phi, sigma_dot(phi), 1, elements)
+def first_variations(phi: ProfileH, elements: int = 2048, label: str = "phi") -> dict:
+    """{"sigma", "mu", "F"} first-variation reports along phi at h = 1."""
+    analytic = {"sigma": sigma_dot(phi), "mu": mu_dot(phi), "F": F_dot(phi)}
+    return _fd_reports(phi, label, analytic, 1, elements)
 
 
-def first_variation_mu(phi: ProfileH, elements: int = 2048,
-                       label: str = "phi") -> VariationReport:
-    return _fd_report("mu", label, phi, mu_dot(phi), 1, elements)
-
-
-def first_variation_F(phi: ProfileH, elements: int = 2048,
-                      label: str = "phi") -> VariationReport:
-    return _fd_report("F", label, phi, F_dot(phi), 1, elements)
-
-
-def second_variation_sigma_linear(A: float, elements: int = 2048) -> VariationReport:
-    analytic = A * A * (3.0 - math.pi ** 2) / 8.0
-    return _fd_report("sigma", f"{A}*x", linear_direction(A), analytic, 2, elements)
-
-
-def second_variation_mu_linear(A: float, elements: int = 2048) -> VariationReport:
-    return _fd_report("mu", f"{A}*x", linear_direction(A), 1.5 * A * A, 2, elements)
-
-
-def second_variation_F_linear(A: float, elements: int = 2048) -> VariationReport:
-    analytic = A * A * (9.0 + math.pi ** 2) / (8.0 * math.pi ** 2)
-    return _fd_report("F", f"{A}*x", linear_direction(A), analytic, 2, elements)
+def second_variations_linear(A: float, elements: int = 2048) -> dict:
+    """{"sigma", "mu", "F"} second-variation reports along phi = A x at h = 1."""
+    analytic = {q: closed(A) for q, closed in _SECOND_LINEAR.items()}
+    return _fd_reports(linear_direction(A), f"{A}*x", analytic, 2, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +250,9 @@ def second_variation_quadrature_check(A: float = 1.0) -> dict:
     mu_ddot -= 2.0 * md * float(np.sum(w * u0(g) * u_dot(g, A)))
     return {
         "sigma_ddot": sigma_ddot,
-        "sigma_ddot_closed": A * A * (3.0 - pi ** 2) / 8.0,
+        "sigma_ddot_closed": _SECOND_LINEAR["sigma"](A),
         "mu_ddot": mu_ddot,
-        "mu_ddot_closed": 1.5 * A * A,
+        "mu_ddot_closed": _SECOND_LINEAR["mu"](A),
     }
 
 

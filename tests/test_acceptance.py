@@ -170,12 +170,12 @@ def test_criterion_7_variation_formulas(announce):
     worst_first = 0.0
     for k in range(5):
         phi = profiles.random_profile(rng)
-        for fn in (variations.first_variation_sigma, variations.first_variation_mu):
-            r = fn(phi, elements=2048, label=f"random-{k}")
-            worst_first = max(worst_first, r.relative_error)
-    flat = variations.first_variation_F(
-        variations.linear_direction(0.8, 0.4), elements=2048, label="0.4+0.8x")
-    second = variations.second_variation_F_linear(1.0, elements=2048)
+        reports = variations.first_variations(phi, elements=2048, label=f"random-{k}")
+        for quantity in ("sigma", "mu"):
+            worst_first = max(worst_first, reports[quantity].relative_error)
+    flat = variations.first_variations(
+        variations.linear_direction(0.8, 0.4), elements=2048, label="0.4+0.8x")["F"]
+    second = variations.second_variations_linear(1.0, elements=2048)["F"]
     res = variations.eigenfunction_derivative_residuals()
     elapsed = time.perf_counter() - t0
 

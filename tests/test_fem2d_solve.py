@@ -313,6 +313,36 @@ def test_solves_leave_the_system_untouched(mesh_of):
     assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
 
+class _KeepsZeros(sparse.csc_matrix):
+    """A CSC matrix whose copies keep their stored zeros."""
+
+    def eliminate_zeros(self):
+        pass
+
+
+@pytest.mark.parametrize("mesh_of", list(_ZERO_CASES.values()), ids=list(_ZERO_CASES))
+def test_products_skip_the_stored_zeros(monkeypatch, mesh_of):
+    """B stores zeros on K's pattern off the boundary.  Lanczos multiplies by
+    a copy of W without them, and the eigenpairs are bit-identical to a run
+    whose products walk the stored zeros."""
+    system = assemble(mesh_of())
+    received, real_lanczos = [], fem_solve._lanczos
+
+    def recording_lanczos(solve, W, *args):
+        received.append(W)
+        return real_lanczos(solve, W, *args)
+
+    monkeypatch.setattr(fem_solve, "_lanczos", recording_lanczos)
+    for W, kind in ((system.M, "neumann"), (system.B, "steklov")):
+        pair = fem_solve._first_nonzero(system.K, W, system.nodes, kind)
+        assert received[-1].nnz == np.count_nonzero(received[-1].data) == np.count_nonzero(W.data)
+        full = fem_solve._first_nonzero(system.K, _KeepsZeros(W), system.nodes, kind)
+        assert received[-1].nnz == W.nnz
+        assert pair == full            # eigenvalue, residual, iterations, lu_nnz, shift
+        assert np.array_equal(pair.eigenvector, full.eigenvector)
+    assert system.B.nnz > np.count_nonzero(system.B.data)
+
+
 @pytest.mark.parametrize("mesh_of", [
     lambda: polygon_mesh(geom2d.named("T1"), 0.1),
     lambda: _campaign_mesh(0),

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from snlab import profiles, variations as V
+from snlab import profiles, sl1d, variations as V
 
 PI2 = math.pi ** 2
 mpmath.mp.dps = 30
@@ -39,33 +39,48 @@ def test_first_variations_match_finite_differences():
     rng = np.random.default_rng(3)
     for k in range(3):
         phi = profiles.random_profile(rng)
-        for fn in (V.first_variation_sigma, V.first_variation_mu, V.first_variation_F):
-            r = fn(phi, elements=512, label=f"rand-{k}")
+        for r in V.first_variations(phi, elements=512, label=f"rand-{k}").values():
             assert r.relative_error < 1e-4
             assert r.observed_order > 1.8 or math.isnan(r.observed_order)
 
 
 def test_affine_directions_are_flat_for_F():
-    r = V.first_variation_F(V.linear_direction(0.7, 0.3), elements=1024, label="affine")
+    r = V.first_variations(V.linear_direction(0.7, 0.3), elements=1024, label="affine")["F"]
     assert r.analytic == pytest.approx(0.0, abs=1e-14)
     assert abs(r.finite_difference) < 1e-6
 
 
 def test_second_variations_match_closed_forms():
-    for fn, closed in (
-            (V.second_variation_sigma_linear, (3.0 - PI2) / 8.0),
-            (V.second_variation_mu_linear, 1.5),
-            (V.second_variation_F_linear, (9.0 + PI2) / (8.0 * PI2))):
-        r = fn(1.0, elements=512)
+    reports = V.second_variations_linear(1.0, elements=512)
+    for quantity, closed in (
+            ("sigma", (3.0 - PI2) / 8.0),
+            ("mu", 1.5),
+            ("F", (9.0 + PI2) / (8.0 * PI2))):
+        r = reports[quantity]
         assert r.analytic == pytest.approx(closed, rel=1e-13)
         assert r.relative_error < 1e-3
     # scaling: second derivative along A x grows like A^2
-    rA = V.second_variation_F_linear(2.0, elements=256)
+    rA = V.second_variations_linear(2.0, elements=256)["F"]
     assert rA.analytic == pytest.approx(4.0 * (9.0 + PI2) / (8.0 * PI2), rel=1e-13)
 
 
 def test_F_second_variation_positive_at_constant_profile():
-    assert V.second_variation_F_linear(1.0, elements=256).analytic > 0.0
+    assert V.second_variations_linear(1.0, elements=256)["F"].analytic > 0.0
+
+
+def test_each_perturbed_profile_is_assembled_once(monkeypatch):
+    """sigma, mu and F are differenced from one f_record per profile: 1 + t phi
+    at three steps t and their negatives, plus h = 1 for second order.  A
+    solve per quantity took 18 and 21 assemblies."""
+    calls, real = [], sl1d._assemble
+    monkeypatch.setattr(sl1d, "_assemble", lambda h, n: calls.append(n) or real(h, n))
+    first = V.first_variations(V.cosine_direction(), elements=64)
+    assert len(calls) == 6
+    assert list(first) == [r.quantity for r in first.values()] == ["sigma", "mu", "F"]
+    calls.clear()
+    second = V.second_variations_linear(1.0, elements=64)
+    assert len(calls) == 7
+    assert list(second) == [r.quantity for r in second.values()] == ["sigma", "mu", "F"]
 
 
 def test_eigenfunction_derivative_residuals_tiny():
