@@ -69,10 +69,6 @@ class QuarticRoots:
     residuals: np.ndarray
     scales: np.ndarray
 
-    @property
-    def y2(self) -> float:
-        return float(self.roots[1])
-
 
 def root_brackets(tau: float) -> tuple:
     """Disjoint sign-change brackets for the four positive roots.
@@ -112,13 +108,16 @@ def g_of_tau(tau: float) -> float:
 
 
 def f_of_tau(tau: float) -> float:
-    """The function whose maximum over (0, 1) is the constant K."""
-    return 2.0 * np.pi * tau * g_of_tau(tau) / quartic_roots(tau).y2
+    """The function whose maximum over (0, 1) is the constant K; it solves
+    for y2 alone, in the second of ``root_brackets``."""
+    return 2.0 * np.pi * tau * g_of_tau(tau) / _root_in(tau, *root_brackets(tau)[1])
 
 
 def constant_K(grid: int = 1000) -> tuple[float, float]:
     """Maximum of f and its argmax: grid scan, then a bounded Brent search
     between the neighbours of the best grid point."""
+    if grid < 1:
+        raise ValueError("grid must be at least 1")
     taus = np.linspace(TAU_GRID_LO, TAU_GRID_HI, grid)
     vals = np.array([f_of_tau(t) for t in taus])
     i = int(np.argmax(vals))

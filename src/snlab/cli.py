@@ -2,10 +2,12 @@
 
 Every subcommand prints a reproducibility stanza (version, seed, parameters),
 formats numbers to 12 significant digits, and supports ``--json`` for a
-schema-stable payload {version, command, seed, parameters, results}.  Exit
-codes: 0 success, 1 usage error, 2 computation failure.  ``--threads``
-affects diagram campaign parallelism only; the environment variable
-``SNLAB_OUTPUT_DIR`` sets the default directory for emitted files.
+schema-stable payload {version, command, seed, parameters, results}.  The
+parameters are every option the parser set, in its order; each handler
+returns only its results, taken from the library's records.  Exit codes: 0
+success, 1 usage error, 2 computation failure.  ``--threads`` affects diagram
+campaign parallelism only.  The CLI writes the emitted files; the environment
+variable ``SNLAB_OUTPUT_DIR`` sets their default directory.
 """
 
 from __future__ import annotations
@@ -44,14 +46,14 @@ def _render(obj, indent: int = 0) -> list:
     lines = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}{k}:")
                 lines += _render(v, indent + 1)
             else:
                 lines.append(f"{pad}{k} = {_fmt(v) if not isinstance(v, (dict, list)) else v}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         for item in obj:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines += _render(item, indent + 1)
             else:
@@ -68,24 +70,19 @@ def _out_path(given: str | None, default_name: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (parameters, results)
+# subcommand handlers: each returns its results
 
 
 def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
-    grids = sl1d._grids(h, args.elements)          # the first grid is --elements itself
-    rec = sl1d.f_record(h, args.elements, pencils=grids[0][1])
-    results = {k: v for k, v in rec.items() if k != "elements"}
-    results["mu1_extrapolated"] = sl1d.mu1_extrapolated(h, args.elements, grids=grids)
-    results["sigma1_extrapolated"] = sl1d.sigma1_extrapolated(h, args.elements, grids=grids)
-    results["F_extrapolated"] = (results["mu1_extrapolated"] * h.integral()
-                                 / results["sigma1_extrapolated"])
+    results = {k: v for k, v in sl1d.f_record(h, args.elements).items() if k != "elements"}
+    mu, sg, F = sl1d.extrapolated_limits(h, args.elements)
+    results.update(mu1_extrapolated=mu, sigma1_extrapolated=sg, F_extrapolated=F)
     if args.oracle:
         oracle = sl1d.sigma1_kernel_oracle(h)
         results["sigma1_kernel_oracle"] = oracle
         results["oracle_gap"] = abs(results["sigma1_extrapolated"] - oracle)
-    params = {"profile": args.profile, "elements": args.elements, "oracle": args.oracle}
-    return params, results
+    return results
 
 
 def _cmd_triangle_ratio(args):
@@ -94,7 +91,7 @@ def _cmd_triangle_ratio(args):
         raise ValueError("x0 must lie strictly between 0 and 1")
     sg = bessel.sigma1_tent(x0).value
     mu = bessel.mu1_tent(x0).value
-    results = {
+    return {
         "x0": x0,
         "sigma1_tent": sg,
         "mu1_tent": mu,
@@ -102,7 +99,6 @@ def _cmd_triangle_ratio(args):
         "ratio_minus_4": mu / sg - 4.0,
         "F_tent": 0.5 * mu / sg,
     }
-    return {"x0": x0}, results
 
 
 def _cmd_bounds(args):
@@ -121,20 +117,15 @@ def _cmd_bounds(args):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
         results["csv"] = path
-    return {"grid": args.grid}, results
+    return results
 
 
 def _cmd_geom(args):
     poly = geom2d.resolve(args.shape)
     g = geom2d.functionals(poly)
-    results = {
-        "vertices": len(poly.vertices),
-        "area": g.area, "perimeter": g.perimeter, "diameter": g.diameter,
-        "width": g.width, "inradius": g.inradius,
-        "per_domain_upper_bound": bounds.per_domain_upper_bound(
-            g.width, g.diameter, g.inradius, g.perimeter),
-    }
-    return {"shape": args.shape}, results
+    return {"vertices": len(poly.vertices), **asdict(g),
+            "per_domain_upper_bound": bounds.per_domain_upper_bound(
+                g.width, g.diameter, g.inradius, g.perimeter)}
 
 
 def _cmd_fem(args):
@@ -151,8 +142,7 @@ def _cmd_fem(args):
     results.update({f"{key}_observed_rate": rate for key, rate in rates.items()})
     final = levels[-1]
     results.update({k: final[k] for k in ("mu1", "sigma1", "x", "y", "F")})
-    params = {"shape": args.shape, "hmax": args.hmax, "levels": args.levels}
-    return params, results
+    return results
 
 
 def _cmd_thin(args):
@@ -160,21 +150,7 @@ def _cmd_thin(args):
     h = profiles.resolve(args.profile)
     half = profiles.scale(h, 0.5)      # symmetric split across the segment
     sweep = fem2d.thin_sweep(half, half, eps_list, dx0=args.dx0)
-    results = {
-        "eps": list(sweep.eps),
-        "mu1": list(sweep.mu1),
-        "sigma1_rescaled": list(sweep.sigma1_rescaled),
-        "F": list(sweep.F),
-        "mu1_extrapolated": sweep.mu1_extrapolated,
-        "sigma1_rescaled_extrapolated": sweep.sigma1_rescaled_extrapolated,
-        "F_extrapolated": sweep.F_extrapolated,
-        "mu1_limit": sweep.mu1_limit,
-        "sigma1_limit": sweep.sigma1_limit,
-        "F_limit": sweep.F_limit,
-        "relative_gaps": sweep.relative_gaps(),
-    }
-    params = {"profile": args.profile, "eps": args.eps, "dx0": args.dx0}
-    return params, results
+    return {**asdict(sweep), "relative_gaps": sweep.relative_gaps()}
 
 
 def _cmd_variation_check(args):
@@ -190,7 +166,7 @@ def _cmd_variation_check(args):
     flat = variations.first_variations(
         variations.linear_direction(0.7, 0.3), elements, "0.3 + 0.7 x")["F"]
     second = [asdict(r) for r in variations.second_variations_linear(1.0, elements).values()]
-    results = {
+    return {
         "first_variations": reports,
         "flat_direction": asdict(flat),
         "second_variations": second,
@@ -200,15 +176,13 @@ def _cmd_variation_check(args):
                                         if abs(r["analytic"]) > 1e-9),
         "max_second_relative_error": max(r["relative_error"] for r in second),
     }
-    params = {"all": args.all, "elements": elements, "seed": args.seed}
-    return params, results
 
 
 def _cmd_optimize_h(args):
     res = variations.optimize_F(knots=args.knots, mode=args.mode,
                                 restarts=args.restarts, seed=args.seed,
                                 elements=args.elements)
-    results = {
+    return {
         "mode": res.mode,
         "value": res.value,
         "evaluations": res.evaluations,
@@ -216,23 +190,16 @@ def _cmd_optimize_h(args):
         "knots": list(map(float, res.profile.knots)),
         "values": list(map(float, res.profile.values)),
     }
-    params = {"mode": args.mode, "knots": args.knots, "restarts": args.restarts,
-              "seed": args.seed, "elements": args.elements}
-    return params, results
 
 
 def _cmd_diagram(args):
-    csv_path = _out_path(args.csv, f"diagram-{args.family}-{args.seed}.csv")
-    svg_path = _out_path(args.svg, f"diagram-{args.family}-{args.seed}.svg")
-    campaign = diagram.Campaign(family=args.family, n=args.n, seed=args.seed,
-                                hmax=args.hmax, csv_path=csv_path, svg_path=svg_path)
+    campaign = diagram.Campaign(family=args.family, n=args.n, seed=args.seed, hmax=args.hmax)
     result = diagram.run_campaign(campaign, threads=args.threads)
-    results = result.summary()
-    results["csv"] = csv_path
-    results["svg"] = svg_path
-    params = {"family": args.family, "n": args.n, "seed": args.seed,
-              "hmax": args.hmax, "threads": args.threads}
-    return params, results
+    paths = {ext: _out_path(getattr(args, ext), f"diagram-{args.family}-{args.seed}.{ext}")
+             for ext in ("csv", "svg")}
+    diagram.emit_csv(result.points, paths["csv"], metadata=diagram.campaign_metadata(result))
+    diagram.emit_svg_scatter(result.points, paths["svg"])
+    return {**result.summary(), **paths}
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +276,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, floor in (("threads", 1), ("levels", 1), ("restarts", 1), ("n", 0)):
+        for name, floor in (("threads", 1), ("levels", 1), ("restarts", 1), ("n", 0),
+                            ("grid", 1)):
             if getattr(args, name, floor) < floor:
                 parser.error(f"--{name} must be at least {floor}")
     except SystemExit as exc:
@@ -318,11 +286,13 @@ def main(argv=None) -> int:
         parser.print_help()
         return 1
     try:
-        params, results = args.handler(args)
+        results = args.handler(args)
     except Exception as exc:
         print(f"snlab: computation failed: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "json", "handler") and v is not None}
     seed = params.get("seed")
     if getattr(args, "json", False):
         payload = {"version": __version__, "command": args.command,

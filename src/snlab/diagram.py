@@ -32,7 +32,6 @@ import numpy as np
 from . import bessel, bounds, geom2d, profiles
 from .fem2d import F_of_domain
 from .fem2d.functional import RECORD_COLUMNS, DomainRecord
-from .fem2d.mesh import _min_angle_deg
 from .geom2d import ConvexPolygon
 
 FAMILIES = ("randomPolygon", "randomTriangle", "randomQuadrilateral",
@@ -110,8 +109,6 @@ class Campaign:
     n: int
     seed: int = 0
     hmax: float = 0.03
-    csv_path: str | None = None
-    svg_path: str | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -162,17 +159,13 @@ def _sample_seeds(seed: int, n: int) -> list:
     return [int(s) for s in state[:n]]
 
 
-def _triangle_min_angle_deg(pts: np.ndarray) -> float:
-    return _min_angle_deg(np.roll(pts, -1, axis=0) - pts, np.roll(pts, 1, axis=0) - pts)
-
-
 def _random_triangle(rng: np.random.Generator) -> ConvexPolygon:
     """Uniform vertices in the unit square, rejected below a 5-degree minimum
     angle so that meshes at the campaign hmax stay within the quality floor."""
     for _ in range(1000):
         pts = rng.random((3, 2))
         # written so that a NaN angle (coincident vertices) rejects the draw
-        if not _triangle_min_angle_deg(pts) >= _TRIANGLE_MIN_ANGLE_DEG:
+        if not geom2d.min_corner_angle_deg(pts) >= _TRIANGLE_MIN_ANGLE_DEG:
             continue
         try:
             return ConvexPolygon(geom2d.convex_hull(pts))
@@ -263,12 +256,7 @@ def run_campaign(c: Campaign, threads: int = 1) -> CampaignResult:
     if samples and not points:
         raise CampaignFailure(
             f"all {len(samples)} samples failed; first: {errors[0].message}")
-    result = CampaignResult(campaign=c, points=points, errors=errors)
-    if c.csv_path is not None:
-        emit_csv(points, c.csv_path, metadata=_campaign_metadata(result))
-    if c.svg_path is not None:
-        emit_svg_scatter(points, c.svg_path)
-    return result
+    return CampaignResult(campaign=c, points=points, errors=errors)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +371,9 @@ def hard_bound_report(points) -> dict:
 # emission
 
 
-def _campaign_metadata(result: CampaignResult) -> dict:
+def campaign_metadata(result: CampaignResult) -> dict:
+    """The '#' metadata of a campaign's CSV: its parameters, counts, failures
+    and conjecture candidates."""
     c = result.campaign
     meta = {
         "family": c.family, "n": c.n, "seed": c.seed, "hmax": c.hmax,

@@ -118,7 +118,6 @@ def aitken(values) -> float:
 class ThinSweep:
     eps: tuple
     mu1: tuple
-    sigma1: tuple
     sigma1_rescaled: tuple       # 2 sigma1 / eps
     F: tuple
     mu1_extrapolated: float
@@ -142,22 +141,19 @@ def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
     eps_arr = tuple(float(e) for e in eps_list)
     if len(eps_arr) < 3 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("need a decreasing list of at least three eps values")
-    mu_seq, sg_seq, scaled_seq, f_seq = [], [], [], []
+    mu_seq, scaled_seq, f_seq = [], [], []
     for eps in eps_arr:
         mesh = thin_mesh(hplus, hminus, eps, dx0=dx0)
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
         rec = record_from_mesh(mesh, geo)
         mu_seq.append(rec.mu1)
-        sg_seq.append(rec.sigma1)
         scaled_seq.append(2.0 * rec.sigma1 / eps)
         f_seq.append(rec.F)
 
-    h = profiles.add(hplus, hminus)
-    mu_lim, sg_lim = sl1d.extrapolated_pair(h, elements_1d)
-    f_lim = mu_lim * h.integral() / sg_lim
+    mu_lim, sg_lim, f_lim = sl1d.extrapolated_limits(profiles.add(hplus, hminus),
+                                                     elements_1d)
     return ThinSweep(
-        eps=eps_arr, mu1=tuple(mu_seq), sigma1=tuple(sg_seq),
-        sigma1_rescaled=tuple(scaled_seq), F=tuple(f_seq),
+        eps=eps_arr, mu1=tuple(mu_seq), sigma1_rescaled=tuple(scaled_seq), F=tuple(f_seq),
         mu1_extrapolated=aitken(mu_seq),
         sigma1_rescaled_extrapolated=aitken(scaled_seq),
         F_extrapolated=aitken(f_seq),

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
-from ..geom2d import ConvexPolygon
+from ..geom2d import ConvexPolygon, min_angle_deg, min_corner_angle_deg
 from ..profiles import ProfileH
 
 QUALITY_FLOOR_DEG = 20.0
@@ -92,7 +92,7 @@ class TriangleMesh:
 
     def min_angle_deg(self) -> float:
         v = self.nodes[self.triangles]
-        return min(_min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
+        return min(min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
                    for i in range(3))
 
 
@@ -116,13 +116,6 @@ def _edge_table(tris: np.ndarray, n_nodes: int):
         raise MeshError("non-manifold edge")
     uniq = np.stack(np.divmod(ukey, n_nodes), axis=1)
     return edges, uniq, inverse, first, counts
-
-
-def _min_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest angle, in degrees, between paired rows of ``a`` and ``b``."""
-    cosang = np.einsum("ij,ij->i", a, b) / (
-        np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
-    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)).min()))
 
 
 def _require_positive(**values: float) -> None:
@@ -325,7 +318,7 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
     nodes = pts @ rot * scale + [cx, cy]
     mesh = TriangleMesh(nodes, tris)
     ang = mesh.min_angle_deg()
-    corner = _min_angle_deg(np.roll(v, -1, axis=0) - v, np.roll(v, 1, axis=0) - v)
+    corner = min_corner_angle_deg(v)
     if ang < min(QUALITY_FLOOR_DEG, corner) - QUALITY_MARGIN_DEG:
         mesh = TriangleMesh(nodes, tris,
                             quality_warning=f"min angle {ang:.2f} deg more than "
@@ -371,7 +364,7 @@ def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float, dx_min: float) 
 
 
 def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float,
-              dx0: float = 0.01, layers: int = 4,
+              dx0: float, layers: int = 4,
               dx_min: float | None = None) -> TriangleMesh:
     """Structured anisotropic mesh of the strip -eps*hminus <= y <= eps*hplus.
 

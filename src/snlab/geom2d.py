@@ -116,6 +116,20 @@ def perimeter(p: ConvexPolygon) -> float:
     return float(np.hypot(e[:, 0], e[:, 1]).sum())
 
 
+def min_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
+    """Smallest angle, in degrees, between paired rows of ``a`` and ``b``."""
+    cosang = np.einsum("ij,ij->i", a, b) / (
+        np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1]))
+    return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)).min()))
+
+
+def min_corner_angle_deg(vertices: np.ndarray) -> float:
+    """Sharpest interior corner, in degrees, of the polygon with these vertices
+    (NaN when two consecutive vertices coincide)."""
+    return min_angle_deg(np.roll(vertices, -1, axis=0) - vertices,
+                         np.roll(vertices, 1, axis=0) - vertices)
+
+
 def _antipodes(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge vectors e_i = v_{i+1} - v_i and, for each edge, the first vertex
     j(i) farthest from its line: the vertex whose outgoing edge is the first

@@ -302,11 +302,13 @@ def sigma1_extrapolated(h: ProfileH, elements: int = 2048, *, grids=None) -> flo
     return _extrapolate(sigma1, h, grids or _grids(h, elements))
 
 
-def extrapolated_pair(h: ProfileH, elements: int = 2048) -> tuple:
-    """(mu1, sigma1) Richardson limits, both from one assembly per grid."""
+def extrapolated_limits(h: ProfileH, elements: int = 2048) -> tuple:
+    """(mu1, sigma1, F) Richardson limits, mu1 and sigma1 from one assembly
+    per grid and F = mu1 * integral(h) / sigma1."""
     grids = _grids(h, elements)
-    return (mu1_extrapolated(h, elements, grids=grids),
-            sigma1_extrapolated(h, elements, grids=grids))
+    mu = mu1_extrapolated(h, elements, grids=grids)
+    sg = sigma1_extrapolated(h, elements, grids=grids)
+    return mu, sg, mu * h.integral() / sg
 
 
 def F_of_h(h: ProfileH, elements: int = 1024) -> float:
@@ -314,10 +316,9 @@ def F_of_h(h: ProfileH, elements: int = 1024) -> float:
     return f_record(h, elements)["F"]
 
 
-def f_record(h: ProfileH, elements: int = 1024, *, pencils=None) -> dict:
-    """mu1, sigma1 and F with solver certificates, for reporting; pass
-    ``pencils=_pencils(h, elements)`` to reuse an assembly."""
-    pair = pencils or _pencils(h, elements)
+def f_record(h: ProfileH, elements: int = 1024) -> dict:
+    """mu1, sigma1 and F with solver certificates, for reporting."""
+    pair = _pencils(h, elements)
     m = mu1(h, elements, pencils=pair)
     s = sigma1(h, elements, pencils=pair)
     integ = h.integral()

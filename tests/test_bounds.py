@@ -70,6 +70,17 @@ def test_bracket_sign_conditions_on_grid():
             assert plo * phi <= 0.0, f"no sign change in [{lo}, {hi}] at tau={tau}"
 
 
+def test_constant_K_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="grid must be at least 1"):
+        bounds.constant_K(0)
+
+
+def test_f_of_tau_divides_by_the_second_quartic_root():
+    for tau in np.linspace(0.0, 1.0, 52)[1:-1]:
+        y2 = bounds.quartic_roots(tau).roots[1]
+        assert bounds.f_of_tau(tau) == 2.0 * np.pi * tau * bounds.g_of_tau(tau) / y2
+
+
 def test_constant_K_value_and_bound():
     K, tau_star = bounds.constant_K(1000)
     assert K <= 3.52

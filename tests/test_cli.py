@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from snlab import __version__, bessel, geom2d, profiles, sl1d
+from snlab import __version__, bessel, cli, geom2d, profiles, sl1d
 from snlab.cli import main
 from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1
 
@@ -87,7 +87,8 @@ def test_f1d_json_reports_solver_certificates(capsys):
 
 
 def test_f1d_assembles_each_grid_once(capsys, monkeypatch):
-    """f1d's raw solve and the first Richardson grid share one assembly."""
+    """f1d assembles the raw solve's grid and each Richardson grid once: the
+    raw record and the limits come from two sl1d calls, so --elements twice."""
     sizes = []
     assemble = sl1d._assemble
 
@@ -97,12 +98,12 @@ def test_f1d_assembles_each_grid_once(capsys, monkeypatch):
 
     monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
     res = run_json(capsys, ["f1d", "--profile", "tent:0.5", "--elements", "512"])["results"]
-    assert sorted(sizes) == [128, 256, 512]
+    assert sorted(sizes) == [128, 256, 512, 512]
     tent = profiles.triangular(0.5)
     rec = sl1d.f_record(tent, 512)
     assert (res["mu1"], res["sigma1"]) == (rec["mu1"], rec["sigma1"])
-    assert (res["mu1_extrapolated"], res["sigma1_extrapolated"]) == (
-        sl1d.extrapolated_pair(tent, 512))
+    assert (res["mu1_extrapolated"], res["sigma1_extrapolated"], res["F_extrapolated"]) == (
+        sl1d.extrapolated_limits(tent, 512))
 
 
 def test_f1d_parabolic_star_sigma(capsys):
@@ -122,6 +123,44 @@ def test_bounds_values_and_csv(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,g,f"
     assert len(lines) == 401
+
+
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_bounds_rejects_an_empty_grid_as_usage_error(capsys, grid):
+    assert main(["bounds", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert "--grid must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+_DIAGRAM_DEFAULTS = {"family": "randomPolygon", "n": 100, "seed": 7, "hmax": 0.03}
+_PARAMETER_CASES = [
+    (["f1d", "--profile", "const"], {"profile": "const", "elements": 2048, "oracle": False}),
+    (["triangle-ratio", "--x0", "0.3"], {"x0": 0.3}),
+    (["bounds"], {"grid": 1000}),
+    (["bounds", "--csv", "t.csv"], {"grid": 1000, "csv": "t.csv"}),
+    (["geom", "--shape", "T1"], {"shape": "T1"}),
+    (["fem", "--shape", "T1"], {"shape": "T1", "hmax": 0.03, "levels": 1}),
+    (["thin", "--profile", "const"], {"profile": "const", "eps": "0.2,0.1,0.05", "dx0": 0.005}),
+    (["variation-check"], {"all": False, "elements": 2048, "seed": 0}),
+    (["optimize-h"], {"mode": "min", "knots": 21, "restarts": 20, "seed": 0, "elements": 512}),
+    (["diagram"], {**_DIAGRAM_DEFAULTS, "threads": 1}),
+    (["diagram", "--svg", "d.svg", "--csv", "d.csv"],
+     {**_DIAGRAM_DEFAULTS, "csv": "d.csv", "svg": "d.svg", "threads": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _PARAMETER_CASES,
+                         ids=[" ".join(argv) for argv, _ in _PARAMETER_CASES])
+def test_parameters_echo_every_option_set_in_parser_order(capsys, monkeypatch, argv, expected):
+    """The payload's parameters are the parser's options, in its order; unset
+    optional paths are left out.  Handlers are stubbed: only main's echo runs."""
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args: {})
+    payload = run_json(capsys, argv)
+    assert list(payload["parameters"].items()) == list(expected.items())
+    assert payload["seed"] == expected.get("seed")
 
 
 def test_geom_named_shape(capsys):
@@ -170,6 +209,15 @@ def test_thin_sweep_tent(capsys):
     assert res["F_limit"] == pytest.approx(2.0, rel=1e-12)
     assert res["F_extrapolated"] == pytest.approx(2.0, abs=0.05)
     assert len(res["eps"]) == 3
+
+
+def test_thin_json_key_order(capsys):
+    res = run_json(capsys, ["thin", "--profile", "tent:0.5",
+                            "--eps", "0.2,0.1,0.05", "--dx0", "0.05"])["results"]
+    assert list(res) == ["eps", "mu1", "sigma1_rescaled", "F", "mu1_extrapolated",
+                         "sigma1_rescaled_extrapolated", "F_extrapolated", "mu1_limit",
+                         "sigma1_limit", "F_limit", "relative_gaps"]
+    assert list(res["relative_gaps"]) == ["mu1", "sigma1", "F"]
 
 
 def test_variation_check_summary(capsys):

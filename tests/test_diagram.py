@@ -10,7 +10,7 @@ import pytest
 
 from snlab import diagram, geom2d
 from snlab.diagram import (Campaign, CampaignFailure, DiagramPoint, SampleError,
-                           emit_csv, emit_svg_scatter, run_campaign)
+                           campaign_metadata, emit_csv, emit_svg_scatter, run_campaign)
 from snlab.fem2d import F_of_domain
 
 
@@ -79,7 +79,7 @@ def test_generators_produce_valid_shapes():
     for _ in range(20):
         tri = diagram._random_triangle(rng)
         assert len(tri.vertices) == 3
-        assert diagram._triangle_min_angle_deg(tri.vertices) >= 5.0
+        assert geom2d.min_corner_angle_deg(tri.vertices) >= 5.0
         quad = diagram._random_quadrilateral(rng)
         assert len(quad.vertices) == 4
     rect = diagram._collapsing_rectangle(4, 5)
@@ -204,9 +204,9 @@ def test_svg_scatter_contains_points_and_reference_lines(tmp_path, t1_point):
 
 
 def test_campaign_emits_files(tmp_path):
-    c = Campaign(family="named", n=2, seed=0, hmax=0.1,
-                 csv_path=str(tmp_path / "c.csv"), svg_path=str(tmp_path / "c.svg"))
-    result = run_campaign(c)
+    result = run_campaign(Campaign(family="named", n=2, seed=0, hmax=0.1))
+    emit_csv(result.points, tmp_path / "c.csv", metadata=campaign_metadata(result))
+    emit_svg_scatter(result.points, tmp_path / "c.svg")
     assert (tmp_path / "c.csv").exists()
     assert (tmp_path / "c.svg").exists()
     text = (tmp_path / "c.csv").read_text()
@@ -229,7 +229,7 @@ def test_hard_bound_report_counts_violations_of_forged_points(t1_point):
 
 def test_degenerate_triangle_is_rejected():
     with np.errstate(invalid="ignore", divide="ignore"):
-        angle = diagram._triangle_min_angle_deg(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+        angle = geom2d.min_corner_angle_deg(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
     assert not angle >= diagram._TRIANGLE_MIN_ANGLE_DEG
 
 
@@ -279,8 +279,9 @@ def test_pool_and_serial_campaigns_give_identical_rows(monkeypatch, tmp_path):
     rows = []
     for threads in (1, 2):
         path = tmp_path / f"t{threads}.csv"
-        run_campaign(Campaign(family="randomPolygon", n=3, seed=7, hmax=0.1,
-                              csv_path=str(path)), threads=threads)
+        result = run_campaign(Campaign(family="randomPolygon", n=3, seed=7, hmax=0.1),
+                              threads=threads)
+        emit_csv(result.points, path, metadata=campaign_metadata(result))
         rows.append(path.read_text().splitlines())
     assert rows[0] == rows[1]
     assert len([r for r in rows[0] if not r.startswith("#")]) == 4
@@ -301,7 +302,7 @@ def test_triangle_min_angle_matches_loop_form():
     for _ in range(2000):
         pts = rng.random((3, 2))
         ref = triangle_min_angle_loop(pts)
-        angle = diagram._triangle_min_angle_deg(pts)
+        angle = geom2d.min_corner_angle_deg(pts)
         assert angle == pytest.approx(ref, abs=1e-7)
         if abs(ref - diagram._TRIANGLE_MIN_ANGLE_DEG) > 1e-6:
             assert (angle >= 5.0) == (ref >= 5.0)

@@ -150,11 +150,11 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
 
 @pytest.mark.parametrize("make", [
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, float("nan")),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, float("nan"), dx0=0.01),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx_min=0.0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, layers=2.5),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, dx_min=0.0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, layers=0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, layers=2.5),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-300),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-7),
     lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),

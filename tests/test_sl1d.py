@@ -369,9 +369,10 @@ def test_inertia_count_matches_dense_eigensolve(elements):
                 sl1d._certify_first(p, w[2])
 
 
-def test_extrapolated_pair_assembles_each_grid_once(monkeypatch):
+def test_extrapolated_limits_assembles_each_grid_once(monkeypatch):
     h = profiles.triangular(0.3)
-    expected = (sl1d.mu1_extrapolated(h, 512), sl1d.sigma1_extrapolated(h, 512))
+    mu, sg = sl1d.mu1_extrapolated(h, 512), sl1d.sigma1_extrapolated(h, 512)
+    expected = (mu, sg, mu * h.integral() / sg)
     sizes = []
     assemble = sl1d._assemble
 
@@ -380,7 +381,7 @@ def test_extrapolated_pair_assembles_each_grid_once(monkeypatch):
         return assemble(h, n)
 
     monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
-    assert sl1d.extrapolated_pair(h, 512) == expected
+    assert sl1d.extrapolated_limits(h, 512) == expected
     assert sorted(sizes) == [128, 256, 512]
 
 
