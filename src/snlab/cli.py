@@ -35,6 +35,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _at_least(name: str, floor: int):
+    """``type=`` for ``--name``: an integer, a subcommand usage error below ``floor``."""
+    def integer(text: str) -> int:
+        if int(text) < floor:
+            raise argparse.ArgumentError(None, f"--{name} must be at least {floor}")
+        return int(text)
+    return integer
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.12g}"
@@ -229,7 +238,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--x0", type=float, required=True)
 
     p = add("bounds", _cmd_bounds, "uniform bound constants for F on convex domains")
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--grid", type=_at_least("grid", 1), default=1000)
     p.add_argument("--csv", nargs="?", const="", default=None,
                    help="write the tau-grid table (optional path)")
 
@@ -240,7 +249,7 @@ def _build_parser() -> _Parser:
     p = add("fem", _cmd_fem, "2D eigenvalues on a polygon, optionally over refinements")
     p.add_argument("--shape", required=True)
     p.add_argument("--hmax", type=float, default=0.03)
-    p.add_argument("--levels", type=int, default=1)
+    p.add_argument("--levels", type=_at_least("levels", 1), default=1)
 
     p = add("thin", _cmd_thin, "collapsing-domain sweep against the 1D limits")
     p.add_argument("--profile", required=True)
@@ -256,18 +265,18 @@ def _build_parser() -> _Parser:
     p = add("optimize-h", _cmd_optimize_h, "local pattern-search optimization of F")
     p.add_argument("--mode", choices=("min", "max"), default="min")
     p.add_argument("--knots", type=int, default=21)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=_at_least("restarts", 1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--elements", type=int, default=512)
 
     p = add("diagram", _cmd_diagram, "sample a domain family and emit CSV/SVG")
     p.add_argument("--family", choices=diagram.FAMILIES, default="randomPolygon")
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_at_least("n", 0), default=100)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--hmax", type=float, default=0.03)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_at_least("threads", 1), default=1,
                    help="campaign parallelism (everything else is serial)")
     return parser
 
@@ -276,10 +285,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, floor in (("threads", 1), ("levels", 1), ("restarts", 1), ("n", 0),
-                            ("grid", 1)):
-            if getattr(args, name, floor) < floor:
-                parser.error(f"--{name} must be at least {floor}")
     except SystemExit as exc:
         return int(exc.code or 0)
     if getattr(args, "handler", None) is None:

@@ -4,11 +4,11 @@ General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
 Delaunay triangulation, and a few rounds of Laplacian smoothing.  Convexity
 makes Delaunay exact: the triangulated hull of the point set is the polygon
-itself.  qhull triangulates the points before and after smoothing, and its
-zero-area caps on collinear boundary points are dropped right there; in
-between the triangulation follows the points by vectorized Lawson edge flips,
-which keep it Delaunay (so no element can invert) at a fraction of a qhull
-call.  Every edge question (smoothing neighbours, edge flips, boundary edges,
+itself.  qhull triangulates the points once and its zero-area caps on
+collinear boundary points are dropped there; from then on vectorized Lawson
+edge flips, with a final pass after the last round, keep the triangulation
+Delaunay and check that no element inverts, at a fraction of a qhull call.
+Every edge question (smoothing neighbours, edge flips, boundary edges,
 refinement midpoints, P2 connectivity) is answered by one table of unique
 edges keyed by int64 ``lo * n + hi``.
 
@@ -44,7 +44,7 @@ QUALITY_FLOOR_DEG = 20.0
 QUALITY_MARGIN_DEG = 1.0
 # strip columns allowed, far above any solvable strip (about 1.6k at dx0 = 0.005)
 MAX_THIN_COLUMNS = 100_000
-_MAX_FLIP_SWEEPS = 20            # Lawson sweeps per smoothing round; campaign rounds need 0-1
+_MAX_FLIP_SWEEPS = 20            # sweeps per flip pass (rounds + a final pass); passes need 0-1
 _INCIRCLE_TIE = 1e-12            # in-circle determinants this small against their terms are ties
 _SMOOTH_ROUNDS = 4               # smoothing rounds per polygon mesh
 
@@ -88,7 +88,9 @@ class TriangleMesh:
         return self.triangles.shape[0]
 
     def hmax(self) -> float:
-        return float(np.sqrt(_edge_lengths_sq(self.nodes, self.triangles).max()))
+        v = self.nodes[self.triangles]
+        d = v[:, [1, 2, 0]] - v
+        return float(np.sqrt((d[..., 0] ** 2 + d[..., 1] ** 2).max()))
 
     def min_angle_deg(self) -> float:
         v = self.nodes[self.triangles]
@@ -128,15 +130,6 @@ def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
     v = nodes[tris]
     return ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
             - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
-
-
-def _edge_lengths_sq(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    v = nodes[tris]
-    out = []
-    for i in range(3):
-        d = v[:, (i + 1) % 3] - v[:, i]
-        out.append(d[:, 0] ** 2 + d[:, 1] ** 2)
-    return np.stack(out)
 
 
 def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -211,7 +204,7 @@ def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
     return det > _INCIRCLE_TIE * perm
 
 
-def _lawson_flips(pts: np.ndarray, tris: np.ndarray):
+def _lawson_flips(pts: np.ndarray, tris: np.ndarray, quads=None):
     """Flip edges until the triangulation is Delaunay (Lawson, 1977).
 
     ``tris`` must be positively oriented.  An interior edge shared by (a, b, c)
@@ -219,33 +212,36 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray):
     flipping it gives (a, d, c) and (d, b, c).  Each sweep flips the edges
     that are the lowest-index failing edge of both their triangles: an
     independent set, never empty while an edge fails.  Returns the triangles
-    and the unique edges of ``_edge_table``; raises ``MeshError`` on an
-    inverted or flat triangle or after ``_MAX_FLIP_SWEEPS`` sweeps.
+    and their table (unique edges of ``_edge_table``; per interior edge its
+    index, owners and quad a, b, c, d), which passed back as ``quads`` is
+    rebuilt only after a flipping sweep; raises ``MeshError`` on an inverted
+    or flat triangle or after ``_MAX_FLIP_SWEEPS`` sweeps.
     """
     n_tris = len(tris)
     for _ in range(_MAX_FLIP_SWEEPS):
         if np.any(_signed_areas(pts, tris) <= 0):
             raise MeshError("smoothing inverted a triangle")
-        _, uniq, inverse, first, _ = _edge_table(tris, len(pts))
-        # every directed row that is not its edge's first is the second row of
-        # an interior edge: (a, b) in triangle t1, (b, a) in t2
-        rows = np.arange(inverse.size)
-        second = rows[rows != first[inverse]]
-        edge = inverse[second]
-        k1, t1 = np.divmod(first[edge], n_tris)
-        k2, t2 = np.divmod(second, n_tris)
-        a, b, c = tris[t1, k1], tris[t1, (k1 + 1) % 3], tris[t1, (k1 + 2) % 3]
-        d = tris[t2, (k2 + 2) % 3]
+        if quads is None:
+            _, uniq, inverse, first, _ = _edge_table(tris, len(pts))
+            # every directed row that is not its edge's first is the second
+            # row of an interior edge: (a, b) in triangle t1, (b, a) in t2
+            rows = np.arange(inverse.size)
+            second = rows[rows != first[inverse]]
+            edge = inverse[second]
+            (k1, k2), (t1, t2) = np.divmod([first[edge], second], n_tris)
+            quads = (uniq, edge, t1, t2, tris[t1, k1], tris[t1, (k1 + 1) % 3],
+                     tris[t1, (k1 + 2) % 3], tris[t2, (k2 + 2) % 3])
+        uniq, edge, t1, t2, a, b, c, d = quads
         fails = np.flatnonzero(_incircle_fails(pts, a, b, c, d))
         if fails.size == 0:
-            return tris, uniq
+            return tris, quads
         # flip each failing edge that is the lowest failing edge of both owners
         e, s1, s2 = edge[fails], t1[fails], t2[fails]
         lowest = np.full(n_tris, uniq.shape[0])
         np.minimum.at(lowest, s1, e)
         np.minimum.at(lowest, s2, e)
         flip = fails[(lowest[s1] == e) & (lowest[s2] == e)]
-        tris = tris.copy()
+        tris, quads = tris.copy(), None
         tris[t1[flip]] = np.stack([a[flip], d[flip], c[flip]], axis=1)
         tris[t2[flip]] = np.stack([d[flip], b[flip], c[flip]], axis=1)
     raise MeshError(f"edge flips did not settle in {_MAX_FLIP_SWEEPS} sweeps")
@@ -255,28 +251,27 @@ def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, 
     """Laplacian smoothing: every point after the first ``n_fixed`` moves to
     the mean of its Delaunay neighbours, ``rounds`` times.
 
-    qhull triangulates the input and the result.  Between those two calls
-    the triangulation follows the points by Lawson flips, which restore the
-    Delaunay property after each round; a round changes only a few edges.
-    Each round's neighbour sums come from the unique edges of the current
-    triangles.  The caps that ``_delaunay`` drops lie on fixed boundary
-    points, so the free points have the neighbours that qhull's
-    ``vertex_neighbor_vertices`` would give them (summed in another order).
-    Returns the smoothed points and their triangles from ``_delaunay``.
+    qhull triangulates the input once; from then on Lawson flips keep the
+    triangles Delaunay, before each round and once more after the last, so
+    every round's motion meets the flips' inversion check.  A round changes
+    only a few edges, so the flips' edge table is handed from call to call.
+    The caps that ``_delaunay`` drops lie on fixed boundary points, so the
+    free points have the neighbours that qhull's ``vertex_neighbor_vertices``
+    would give them (summed in another order).  Returns the smoothed points
+    and their triangles.
     """
     n = points.shape[0]
-    tris = _delaunay(points)
+    tris, quads = _delaunay(points), None
     for _ in range(rounds):
-        tris, uniq = _lawson_flips(points, tris)
-        # both directions of every edge, by (vertex, neighbour): each sum
-        # runs over the neighbours in ascending order
-        ends, other = np.divmod(np.sort(np.concatenate([uniq @ [n, 1], uniq @ [1, n]])), n)
+        tris, quads = _lawson_flips(points, tris, quads)
+        # both directions of every unique edge, by (vertex, neighbour): each
+        # sum runs over the neighbours in ascending order
+        ends, other = np.divmod(np.sort((quads[0] @ [[n, 1], [1, n]]).ravel()), n)
         degree = np.bincount(ends, minlength=n)[n_fixed:, None]
         sums = np.stack([np.bincount(ends, weights=points[other, i], minlength=n)
                          for i in range(2)], axis=1)
-        points = points.copy()
-        points[n_fixed:] = sums[n_fixed:] / degree
-    return points, _delaunay(points)
+        points = np.concatenate([points[:n_fixed], sums[n_fixed:] / degree])
+    return points, _lawson_flips(points, tris, quads)[0]
 
 
 def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:

@@ -280,6 +280,23 @@ def test_optimize_h_rejects_nonpositive_restarts_as_usage_error(capsys, restarts
     assert "--restarts must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--grid", "0"], "--grid must be at least 1"),
+    (["fem", "--shape", "square", "--levels", "0"], "--levels must be at least 1"),
+    (["optimize-h", "--restarts", "0"], "--restarts must be at least 1"),
+    (["diagram", "--n", "-1"], "--n must be at least 0"),
+    (["diagram", "--threads", "0"], "--threads must be at least 1"),
+], ids=["grid", "levels", "restarts", "n", "threads"])
+def test_floor_errors_print_the_subcommand_usage(capsys, argv, message):
+    """Each floor is checked while its subcommand parses, so the error shows
+    that subcommand's usage, not the top-level one."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: snlab {argv[0]} [-h]")
+    assert captured.err.rstrip().endswith(f"snlab {argv[0]}: error: {message}")
+
+
 def test_diagram_rejects_negative_sample_count_as_usage_error(capsys):
     assert main(["diagram", "--family", "named", "--n", "-3"]) == 1
     assert "--n must be at least 0" in capsys.readouterr().err

@@ -368,14 +368,56 @@ def _triangle_set(tris):
     return {frozenset(t) for t in np.asarray(tris).tolist()}
 
 
+def _edge_set(tris):
+    return {frozenset(e) for t in np.asarray(tris).tolist()
+            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))}
+
+
+def _interior_quads(tris):
+    """Rows (a, b, c, d), one per interior edge a < b of the positive
+    triangles ``tris``: the edge's owners are (a, b, c) and (b, a, d)."""
+    third = {}
+    for t in np.asarray(tris).tolist():
+        for k in range(3):
+            third[t[k], t[(k + 1) % 3]] = t[(k + 2) % 3]
+    return np.array([(a, b, c, third[b, a]) for (a, b), c in third.items()
+                     if a < b and (b, a) in third], dtype=np.int64).reshape(-1, 4)
+
+
+def _tie_diagonals(pts, tris):
+    """{edge: other diagonal} over the interior edges of ``tris`` whose quad
+    is a tie by ``_INCIRCLE_TIE``: the edge passes the in-circle test, and so
+    would the other diagonal, which owns (d, c, a) and (c, d, b)."""
+    a, b, c, d = _interior_quads(tris).T
+    tie = ~mesh_mod._incircle_fails(pts, a, b, c, d) & ~mesh_mod._incircle_fails(pts, d, c, a, b)
+    return {frozenset((p, q)): frozenset((r, s))
+            for p, q, r, s in zip(a[tie].tolist(), b[tie].tolist(),
+                                  c[tie].tolist(), d[tie].tolist())}
+
+
+def _assert_equal_up_to_ties(pts, got, want, free):
+    """The flipped triangles ``got`` and the cap-free qhull triangles ``want``
+    give the ``free`` vertices the same neighbours, and differ elsewhere only
+    inside tie quads of ``got``: each edge that ``want`` lacks is a tie
+    diagonal, and ``want`` has its other diagonal instead.  Returns the
+    edges that only ``got`` has."""
+    ties = _tie_diagonals(pts, got)
+    only_got, only_want = _edge_set(got) - _edge_set(want), _edge_set(want) - _edge_set(got)
+    assert not [e for e in only_got | only_want if e & free]
+    assert only_got <= ties.keys()
+    assert only_want == {ties[e] for e in only_got}
+    return only_got
+
+
 @pytest.mark.parametrize("name, poly", REFERENCE_POLYGONS, ids=[n for n, _ in REFERENCE_POLYGONS])
 def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch):
     """Smoothing sums each vertex's neighbours in ascending order, the loop
     in qhull's order, so the points agree to rounding (4 ulp of the largest
-    coordinate).  qhull fans the flat caps on collinear hull points either
-    way for points that differ in the last bits, so the triangles agree as a
-    set once the caps are gone.  Both qhull calls match the sliver repair of
-    the dict route bit for bit, as does P2 connectivity."""
+    coordinate).  The final triangles come from edge flips, the loop's from
+    qhull on its final points, whose flat caps on collinear hull points the
+    dict route repairs: they agree as sets up to in-circle ties.  The one
+    qhull call matches the sliver repair of the dict route bit for bit, as
+    does P2 connectivity."""
     smooth, delaunay = mesh_mod._smooth, mesh_mod._delaunay
     seen = []
 
@@ -383,7 +425,11 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
         got = smooth(points, n_fixed, rounds)
         want = _smooth_by_vertex_loop(points, n_fixed, rounds)
         assert np.abs(got[0] - want[0]).max() <= 4 * np.spacing(np.abs(want[0]).max())
-        assert _triangle_set(got[1]) == _triangle_set(_repair_slivers_by_edge_dict(*want))
+        repaired = _repair_slivers_by_edge_dict(*want)
+        assert len(got[1]) == len(repaired)
+        free = set(range(n_fixed, len(points)))
+        if not _assert_equal_up_to_ties(got[0], got[1], repaired, free):
+            assert _triangle_set(got[1]) == _triangle_set(repaired)
         return got
 
     def checked_delaunay(pts):
@@ -396,19 +442,27 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     monkeypatch.setattr(mesh_mod, "_smooth", checked_smooth)
     monkeypatch.setattr(mesh_mod, "_delaunay", checked_delaunay)
     mesh = polygon_mesh(poly, 0.03)
-    assert len(seen) == 2
+    assert len(seen) == 1
     _assert_p2_matches_dict_route(mesh)
 
 
 # thin rectangle whose cocircular boundary quads flip back and forth without the tie rule
 TIE_CASE = "collapsingRectangle-0008"
-FLIP_CASES = REFERENCE_POLYGONS + [(TIE_CASE, None)]
+# symmetric tent whose cocircular trapezoids the final flips split otherwise than qhull
+TIE_SPLIT_CASE = "collapsingTent-0010"
+FLIP_CASES = REFERENCE_POLYGONS + [(TIE_CASE, None), (TIE_SPLIT_CASE, None)]
+
+
+def _mesh_case(name, poly):
+    return drift_corpus()[name]() if poly is None else polygon_mesh(poly, 0.03)
 
 
 @pytest.mark.parametrize("name, poly", FLIP_CASES, ids=[n for n, _ in FLIP_CASES])
 def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, monkeypatch):
-    """Before each round's neighbour sums, the free vertices have the
-    neighbours that a fresh qhull call on the current points gives them."""
+    """Before each round's neighbour sums, and in the final pass after the
+    last round, the free vertices have the neighbours that a fresh qhull call
+    on the current points gives them; the triangulations differ elsewhere
+    only at in-circle ties."""
     flips, smooth = mesh_mod._lawson_flips, mesh_mod._smooth
     fixed, rounds = [], []
 
@@ -416,30 +470,24 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
         fixed.append(n_fixed)
         return smooth(points, n_fixed, n_rounds)
 
-    def recording_flips(pts, tris):
-        out = flips(pts, tris)
+    def recording_flips(pts, tris, quads=None):
+        out = flips(pts, tris, quads)
         rounds.append((pts.copy(), out[0]))
         return out
 
     monkeypatch.setattr(mesh_mod, "_smooth", recording_smooth)
     monkeypatch.setattr(mesh_mod, "_lawson_flips", recording_flips)
-    if poly is None:
-        drift_corpus()[name]()
-    else:
-        polygon_mesh(poly, 0.03)
-    assert len(rounds) == 4
+    _mesh_case(name, poly)
+    assert len(rounds) == mesh_mod._SMOOTH_ROUNDS + 1
+    ties = []
     for pts, tris in rounds:
-        free = range(fixed[0], len(pts))
-        got = [set() for _ in pts]
-        for a, b in mesh_mod._edge_table(tris, len(pts))[1].tolist():
-            got[a].add(b)
-            got[b].add(a)
-        indptr, indices = mesh_mod.Delaunay(pts).vertex_neighbor_vertices
-        assert [got[v] for v in free] == [set(indices[indptr[v]:indptr[v + 1]].tolist())
-                                          for v in free]
+        qhull = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
+        ties.append(_assert_equal_up_to_ties(pts, tris, qhull, set(range(fixed[0], len(pts)))))
+    if name == TIE_SPLIT_CASE:
+        assert ties[-1]
 
 
-def test_polygon_mesh_calls_qhull_twice(monkeypatch):
+def test_polygon_mesh_calls_qhull_once(monkeypatch):
     calls = []
     delaunay = mesh_mod.Delaunay
 
@@ -449,7 +497,53 @@ def test_polygon_mesh_calls_qhull_twice(monkeypatch):
 
     monkeypatch.setattr(mesh_mod, "Delaunay", counting_delaunay)
     polygon_mesh(REFERENCE_POLYGONS[1][1], 0.03)
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, poly", FLIP_CASES, ids=[n for n, _ in FLIP_CASES])
+def test_reused_edge_table_matches_a_rebuilt_one(name, poly, monkeypatch):
+    """Handing the flips' edge table from call to call gives the points and
+    triangles, bit for bit, of rebuilding it on every call."""
+    want = _mesh_case(name, poly)
+    flips = mesh_mod._lawson_flips
+    monkeypatch.setattr(mesh_mod, "_lawson_flips",
+                        lambda pts, tris, quads=None: flips(pts, tris))
+    got = _mesh_case(name, poly)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert np.array_equal(got.triangles, want.triangles)
+
+
+def test_last_round_inversion_raises(monkeypatch):
+    """The final flip pass checks the last round's motion: moving the free
+    point nearest the centre half its distance past a neighbour inverts the
+    triangles they share.  A second qhull call would have triangulated those
+    points afresh without complaint."""
+    flips, calls, moved = mesh_mod._lawson_flips, [], []
+
+    def moving_flips(pts, tris, quads=None):
+        calls.append(len(pts))
+        if len(calls) == mesh_mod._SMOOTH_ROUNDS + 1:
+            v = int(np.argmin(np.hypot(pts[:, 0], pts[:, 1])))
+            w = next(u for u in tris[np.any(tris == v, axis=1)][0] if u != v)
+            pts[v] = pts[w] + 0.5 * (pts[w] - pts[v])
+            moved.append(pts.copy())
+        return flips(pts, tris, quads)
+
+    monkeypatch.setattr(mesh_mod, "_lawson_flips", moving_flips)
+    with pytest.raises(MeshError, match="smoothing inverted a triangle"):
+        polygon_mesh(geom2d.resolve("square"), 0.1)
+    assert len(moved) == 1
+    assert np.all(mesh_mod._signed_areas(moved[0], mesh_mod._delaunay(moved[0])) > 0)
+
+
+def test_polygon_meshes_are_delaunay_up_to_ties():
+    """No interior edge of a drift-corpus polygon mesh fails the in-circle
+    test beyond a tie."""
+    for name, make in drift_corpus().items():
+        if not name.startswith("strip-"):
+            mesh = make()
+            a, b, c, d = _interior_quads(mesh.triangles).T
+            assert a.size and not mesh_mod._incircle_fails(mesh.nodes, a, b, c, d).any(), name
 
 
 def test_flip_sweep_cap_raises(monkeypatch):
@@ -464,10 +558,10 @@ def test_lawson_flips_on_one_quad():
     triangle raises."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
     tris = np.array([[0, 1, 2], [1, 3, 2]])
-    got, uniq = mesh_mod._lawson_flips(pts, tris)
+    got, quads = mesh_mod._lawson_flips(pts, tris)
     assert _triangle_set(got) == {frozenset((0, 1, 3)), frozenset((0, 3, 2))}
     assert np.all(mesh_mod._signed_areas(pts, got) > 0)
-    assert (0, 3) in set(map(tuple, uniq.tolist()))
+    assert (0, 3) in set(map(tuple, quads[0].tolist()))
     square = pts.copy()
     square[3] = [1.0, 1.0]
     assert np.array_equal(mesh_mod._lawson_flips(square, tris)[0], tris)
