@@ -115,13 +115,15 @@ def f_of_tau(tau: float) -> float:
 
 def constant_K(grid: int = 1000) -> tuple[float, float]:
     """Maximum of f and its argmax: grid scan, then a bounded Brent search
-    between the neighbours of the best grid point."""
+    between the neighbours of the best grid point; an end point's missing
+    neighbour is the end of the scanned interval itself."""
     if grid < 1:
         raise ValueError("grid must be at least 1")
     taus = np.linspace(TAU_GRID_LO, TAU_GRID_HI, grid)
     vals = np.array([f_of_tau(t) for t in taus])
     i = int(np.argmax(vals))
-    bracket = (taus[max(i - 1, 0)], taus[min(i + 1, grid - 1)])
+    ends = np.concatenate([[TAU_GRID_LO], taus, [TAU_GRID_HI]])
+    bracket = (ends[i], ends[i + 2])
     res = optimize.minimize_scalar(lambda t: -f_of_tau(t), bounds=bracket,
                                    method="bounded", options={"xatol": 1e-12})
     return f_of_tau(res.x), float(res.x)

@@ -229,7 +229,8 @@ def _build_parser() -> _Parser:
     p = add("f1d", _cmd_f1d, "1D eigenvalues and F for a thickness profile")
     p.add_argument("--profile", required=True,
                    help="const | parabolic | tent:<x0> | path to a saved profile")
-    p.add_argument("--elements", type=int, default=2048)
+    # the Richardson grids halve it twice, to at least 8 elements
+    p.add_argument("--elements", type=_at_least("elements", 32), default=2048)
     p.add_argument("--oracle", action="store_true",
                    help="cross-check sigma1 against the integral-kernel oracle")
 
@@ -259,15 +260,15 @@ def _build_parser() -> _Parser:
     p = add("variation-check", _cmd_variation_check,
             "finite-difference validation of the variation formulas at h = 1")
     p.add_argument("--all", action="store_true", help="more random directions")
-    p.add_argument("--elements", type=int, default=2048)
+    p.add_argument("--elements", type=_at_least("elements", 8), default=2048)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("optimize-h", _cmd_optimize_h, "local pattern-search optimization of F")
     p.add_argument("--mode", choices=("min", "max"), default="min")
-    p.add_argument("--knots", type=int, default=21)
+    p.add_argument("--knots", type=_at_least("knots", 5), default=21)
     p.add_argument("--restarts", type=_at_least("restarts", 1), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--elements", type=int, default=512)
+    p.add_argument("--elements", type=_at_least("elements", 8), default=512)
 
     p = add("diagram", _cmd_diagram, "sample a domain family and emit CSV/SVG")
     p.add_argument("--family", choices=diagram.FAMILIES, default="randomPolygon")

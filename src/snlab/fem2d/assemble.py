@@ -5,8 +5,8 @@ The 7-point degree-5 triangle rule integrates the quadratic stiffness and
 quartic mass integrands exactly, so assembly introduces no quadrature error.
 The boundary mass matrix uses the exact one-dimensional P2 mass matrix per
 boundary edge and is supported on boundary degrees of freedom only.
-K, M and B are CSC matrices on the P2 elements' pattern and share its index
-arrays; a boundary edge lies in a triangle, so B fits it with zeros elsewhere.
+K and M are CSC matrices on the P2 elements' pattern and share its index
+arrays; B is a CSC matrix on its own pattern, the boundary-dof pairs.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ class FEMSystem:
 
     nodes: np.ndarray            # all P2 node coordinates, corners first
     boundary_dofs: np.ndarray    # sorted unique boundary degrees of freedom
-    K: sparse.csc_matrix         # K, M and B share one indices and indptr:
-    M: sparse.csc_matrix         # change them in place on none of the three
-    B: sparse.csc_matrix         # zero outside boundary_dofs
+    K: sparse.csc_matrix         # K and M share one indices and indptr:
+    M: sparse.csc_matrix         # change them in place on neither
+    B: sparse.csc_matrix         # own pattern, within boundary_dofs pairs
 
     @property
     def n_dofs(self) -> int:
@@ -116,11 +116,7 @@ def assemble(mesh: TriangleMesh) -> FEMSystem:
     lengths = np.hypot(*(nodes[btriples[:, 1]] - nodes[btriples[:, 0]]).T)
     be = lengths[:, None, None] * _EDGE_MASS
     brows, bcols = np.repeat(btriples, 3, axis=1).ravel(), np.tile(btriples, (1, 3)).ravel()
-    Bb = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsc()
-    # B's entries lie in the pattern: place them by their sorted column-major keys
-    keys = [A.indices + n * np.repeat(np.arange(n), np.diff(A.indptr)) for A in (KM, Bb)]
-    bdata = np.zeros(KM.nnz)
-    bdata[np.searchsorted(*keys)] = Bb.data
-    K, M, B = (sparse.csc_matrix((data, KM.indices, KM.indptr), shape=(n, n))
-               for data in (KM.data.real.copy(), KM.data.imag.copy(), bdata))
+    B = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsc()
+    K, M = (sparse.csc_matrix((data, KM.indices, KM.indptr), shape=(n, n))
+            for data in (KM.data.real.copy(), KM.data.imag.copy()))
     return FEMSystem(nodes=nodes, boundary_dofs=np.unique(btriples.ravel()), K=K, M=M, B=B)

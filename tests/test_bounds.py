@@ -75,6 +75,12 @@ def test_constant_K_rejects_an_empty_grid():
         bounds.constant_K(0)
 
 
+def test_constant_K_on_one_grid_point_searches_the_whole_interval():
+    """A single grid point has no neighbours; the bounded search then spans
+    [TAU_GRID_LO, TAU_GRID_HI] and finds the maximum a fine grid finds."""
+    assert bounds.constant_K(1)[0] == pytest.approx(bounds.constant_K(1000)[0], abs=1e-9)
+
+
 def test_f_of_tau_divides_by_the_second_quartic_root():
     for tau in np.linspace(0.0, 1.0, 52)[1:-1]:
         y2 = bounds.quartic_roots(tau).roots[1]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from snlab import __version__, bessel, cli, geom2d, profiles, sl1d
+from snlab import __version__, bessel, bounds, cli, geom2d, profiles, sl1d
 from snlab.cli import main
 from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1
 
@@ -52,6 +52,14 @@ def test_exit_code_2_on_computation_failure(capsys):
     assert rc == 2
     assert "computation failed" in captured.err
     assert "x0 must lie strictly between 0 and 1" in captured.err
+
+
+@pytest.mark.parametrize("elements, rc", [("32", 0), ("34", 2)])
+def test_f1d_elements_floor_and_divisibility(capsys, elements, rc):
+    """32 elements leave the coarsest Richardson grid its 8; past the floor,
+    a count not divisible by 4 stays a computation failure."""
+    assert main(["f1d", "--profile", "const", "--elements", elements]) == rc
+    assert ("must be divisible by 4" in capsys.readouterr().err) == (rc == 2)
 
 
 def test_version_flag(capsys):
@@ -123,6 +131,12 @@ def test_bounds_values_and_csv(capsys, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,g,f"
     assert len(lines) == 401
+
+
+def test_bounds_on_one_grid_point_reaches_the_fine_grid_constant(capsys):
+    res = run_json(capsys, ["bounds", "--grid", "1"])["results"]
+    assert res["K"] == pytest.approx(bounds.constant_K(1000)[0], abs=1e-9)
+    assert res["upper_bound_2(1+K)"] == pytest.approx(9.01496694118, abs=1e-6)
 
 
 @pytest.mark.parametrize("grid", ["0", "-2"])
@@ -286,7 +300,12 @@ def test_optimize_h_rejects_nonpositive_restarts_as_usage_error(capsys, restarts
     (["optimize-h", "--restarts", "0"], "--restarts must be at least 1"),
     (["diagram", "--n", "-1"], "--n must be at least 0"),
     (["diagram", "--threads", "0"], "--threads must be at least 1"),
-], ids=["grid", "levels", "restarts", "n", "threads"])
+    (["optimize-h", "--knots", "3"], "--knots must be at least 5"),
+    (["optimize-h", "--elements", "4"], "--elements must be at least 8"),
+    (["variation-check", "--elements", "4"], "--elements must be at least 8"),
+    (["f1d", "--profile", "const", "--elements", "28"], "--elements must be at least 32"),
+], ids=["grid", "levels", "restarts", "n", "threads", "knots", "optimize-h-elements",
+        "variation-check-elements", "f1d-elements"])
 def test_floor_errors_print_the_subcommand_usage(capsys, argv, message):
     """Each floor is checked while its subcommand parses, so the error shows
     that subcommand's usage, not the top-level one."""
