@@ -113,13 +113,18 @@ def f_of_tau(tau: float) -> float:
     return 2.0 * np.pi * tau * g_of_tau(tau) / _root_in(tau, *root_brackets(tau)[1])
 
 
+def tau_grid(grid: int) -> np.ndarray:
+    """The ``grid`` points of (0, 1) that ``constant_K`` scans."""
+    return np.linspace(TAU_GRID_LO, TAU_GRID_HI, grid)
+
+
 def constant_K(grid: int = 1000) -> tuple[float, float]:
     """Maximum of f and its argmax: grid scan, then a bounded Brent search
     between the neighbours of the best grid point; an end point's missing
     neighbour is the end of the scanned interval itself."""
     if grid < 1:
         raise ValueError("grid must be at least 1")
-    taus = np.linspace(TAU_GRID_LO, TAU_GRID_HI, grid)
+    taus = tau_grid(grid)
     vals = np.array([f_of_tau(t) for t in taus])
     i = int(np.argmax(vals))
     ends = np.concatenate([[TAU_GRID_LO], taus, [TAU_GRID_HI]])

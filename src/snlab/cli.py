@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -35,19 +36,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _checked(name: str, rule: str, ok, convert=float):
+    """``type=`` for ``--name``: ``convert(text)``, a subcommand usage error
+    unless ``ok`` holds for it."""
+    def number(text: str):
+        if not ok(convert(text)):
+            raise argparse.ArgumentError(None, f"--{name} must {rule}")
+        return convert(text)
+    return number
+
+
 def _at_least(name: str, floor: int):
-    """``type=`` for ``--name``: an integer, a subcommand usage error below ``floor``."""
-    def integer(text: str) -> int:
-        if int(text) < floor:
-            raise argparse.ArgumentError(None, f"--{name} must be at least {floor}")
-        return int(text)
-    return integer
+    return _checked(name, f"be at least {floor}", lambda v: v >= floor, int)
+
+
+def _positive(name: str):   # nan and inf fail the comparison
+    return _checked(name, "be finite and positive", lambda v: 0.0 < v < math.inf)
+
+
+def _eps_values(text: str) -> list:
+    return [float(t) for t in text.split(",") if t]
+
+
+def _eps_decreasing(text: str) -> bool:   # nan and inf fail here too
+    eps = _eps_values(text)
+    return len(eps) >= 3 and all(0.0 < b < a < math.inf for a, b in zip(eps, eps[1:]))
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+    return f"{v:.12g}" if isinstance(v, float) else str(v)
 
 
 def _render(obj, indent: int = 0) -> list:
@@ -73,9 +90,7 @@ def _render(obj, indent: int = 0) -> list:
 
 
 def _out_path(given: str | None, default_name: str) -> str:
-    if given:
-        return given
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
+    return given or os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), default_name)
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +110,10 @@ def _cmd_f1d(args):
 
 
 def _cmd_triangle_ratio(args):
-    x0 = args.x0
-    if not 0.0 < x0 < 1.0:
-        raise ValueError("x0 must lie strictly between 0 and 1")
-    sg = bessel.sigma1_tent(x0).value
-    mu = bessel.mu1_tent(x0).value
+    sg = bessel.sigma1_tent(args.x0).value
+    mu = bessel.mu1_tent(args.x0).value
     return {
-        "x0": x0,
+        "x0": args.x0,
         "sigma1_tent": sg,
         "mu1_tent": mu,
         "ratio": mu / sg,
@@ -120,9 +132,9 @@ def _cmd_bounds(args):
     }
     if args.csv is not None:
         path = _out_path(args.csv, "bounds-grid.csv")
-        taus = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]  # tau strictly inside (0, 1)
         rows = ["tau,g,f"]
-        rows += [f"{t!r},{bounds.g_of_tau(t)!r},{bounds.f_of_tau(t)!r}" for t in taus]
+        rows += [",".join(repr(float(v)) for v in (t, bounds.g_of_tau(t), bounds.f_of_tau(t)))
+                 for t in bounds.tau_grid(args.grid)]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(rows) + "\n")
         results["csv"] = path
@@ -155,10 +167,9 @@ def _cmd_fem(args):
 
 
 def _cmd_thin(args):
-    eps_list = [float(t) for t in args.eps.split(",") if t]
     h = profiles.resolve(args.profile)
     half = profiles.scale(h, 0.5)      # symmetric split across the segment
-    sweep = fem2d.thin_sweep(half, half, eps_list, dx0=args.dx0)
+    sweep = fem2d.thin_sweep(half, half, _eps_values(args.eps), dx0=args.dx0)
     return {**asdict(sweep), "relative_gaps": sweep.relative_gaps()}
 
 
@@ -236,7 +247,8 @@ def _build_parser() -> _Parser:
 
     p = add("triangle-ratio", _cmd_triangle_ratio,
             "Bessel closed forms for tent profiles and the exact ratio 4")
-    p.add_argument("--x0", type=float, required=True)
+    p.add_argument("--x0", required=True, type=_checked(
+        "x0", "lie strictly between 0 and 1", lambda v: 0.0 < v < 1.0))
 
     p = add("bounds", _cmd_bounds, "uniform bound constants for F on convex domains")
     p.add_argument("--grid", type=_at_least("grid", 1), default=1000)
@@ -249,13 +261,15 @@ def _build_parser() -> _Parser:
 
     p = add("fem", _cmd_fem, "2D eigenvalues on a polygon, optionally over refinements")
     p.add_argument("--shape", required=True)
-    p.add_argument("--hmax", type=float, default=0.03)
+    p.add_argument("--hmax", type=_positive("hmax"), default=0.03)
     p.add_argument("--levels", type=_at_least("levels", 1), default=1)
 
     p = add("thin", _cmd_thin, "collapsing-domain sweep against the 1D limits")
     p.add_argument("--profile", required=True)
-    p.add_argument("--eps", default="0.2,0.1,0.05", help="comma-separated thicknesses")
-    p.add_argument("--dx0", type=float, default=0.005)
+    p.add_argument("--eps", default="0.2,0.1,0.05", help="comma-separated thicknesses",
+                   type=_checked("eps", "list at least three finite positive values, "
+                                 "strictly decreasing", _eps_decreasing, str))
+    p.add_argument("--dx0", type=_positive("dx0"), default=0.005)
 
     p = add("variation-check", _cmd_variation_check,
             "finite-difference validation of the variation formulas at h = 1")
@@ -274,7 +288,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", choices=diagram.FAMILIES, default="randomPolygon")
     p.add_argument("--n", type=_at_least("n", 0), default=100)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--hmax", type=float, default=0.03)
+    p.add_argument("--hmax", type=_positive("hmax"), default=0.03)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     p.add_argument("--threads", type=_at_least("threads", 1), default=1,

@@ -14,10 +14,13 @@ phi = A x the second derivatives are explicit as well:
     sigma_ddot = A^2 (3 - pi^2) / 8,   mu_ddot = 3 A^2 / 2,
     F_ddot     = A^2 (9 + pi^2) / (8 pi^2) > 0,
 
-witnessed by closed-form eigenfunction derivatives whose ODE, endpoint, and
-side-condition residuals this module evaluates analytically.  Finite
-differences of the Galerkin eigenvalues validate every formula; F is scale
-invariant, so the perturbed weight never needs renormalizing.
+witnessed by closed-form eigenfunction derivatives, each held as the pair
+(p, q) of polynomials in p(x) cos(pi x) + q(x) sin(pi x) and differentiated
+by the one rule (p, q)' = (p' + pi q, q' - pi p).  Coefficient sums bound
+their ODE residuals on all of [0, 1]; endpoint and side conditions are
+checked too.  Finite differences of the Galerkin eigenvalues validate every
+formula; F is scale invariant, so the perturbed weight never needs
+renormalizing.
 
 Two entry points run the finite differences: ``first_variations(phi)`` and
 ``second_variations_linear(A)``.  Each solves every perturbed profile once,
@@ -38,7 +41,6 @@ from .profiles import ProfileH
 FIRST_ORDER_STEPS = (1e-3, 5e-4, 2.5e-4)
 SECOND_ORDER_STEPS = (2e-3, 1e-3, 5e-4)
 _STEP0, _STEP_MIN = 0.25, 1e-4   # first and smallest pattern-search step
-_SQRT2 = math.sqrt(2.0)
 # closed-form second variations along phi = A x at h = 1
 _SECOND_LINEAR = {
     "sigma": lambda A: A * A * (3.0 - math.pi ** 2) / 8.0,
@@ -140,54 +142,42 @@ def second_variations_linear(A: float, elements: int = 2048) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# closed-form eigenfunction derivatives along phi = A x
+# closed-form eigenfunction derivatives along phi = A x, as (p, q) pairs
 
 
-def u0(x):
-    """Shared normalized eigenfunction of both problems at h = 1."""
-    return _SQRT2 * np.cos(np.pi * x)
+def eigenfunction_derivatives(A: float = 1.0) -> dict:
+    """u0 = sqrt(2) cos(pi x), the eigenfunction both problems share at h = 1,
+    its derivatives v_dot (boundary type) and u_dot (interior type) along the
+    weight 1 + t A x, and their right-hand sides rhs_v and rhs_u."""
+    P, pi, s = np.polynomial.Polynomial, math.pi, A / math.sqrt(2.0)
+    return {
+        "u0": (P([math.sqrt(2.0)]), P([0.0])),
+        "v_dot": (P([s / 4.0, -s / 2.0]), P([s / (2.0 * pi), -s * pi / 2.0, s * pi / 2.0])),
+        "u_dot": (P([0.0, -s]), P([s / pi])),
+        "rhs_v": (P([s * pi ** 2, -2.0 * s * pi ** 2]), P([-2.0 * s * pi])),
+        "rhs_u": (P([0.0]), P([-2.0 * s * pi])),
+    }
 
 
-def u0_prime(x):
-    return -_SQRT2 * np.pi * np.sin(np.pi * x)
+def _deriv(f):
+    """(p cos + q sin)' = (p' + pi q) cos + (q' - pi p) sin: the one rule."""
+    p, q = f
+    return p.deriv() + math.pi * q, q.deriv() - math.pi * p
 
 
-def _v_dot_coefficients(A: float):
-    return (A / (4.0 * _SQRT2), -A / (2.0 * _SQRT2),
-            A / (2.0 * _SQRT2 * math.pi), A * math.pi / (2.0 * _SQRT2))
+def _at(f, x):
+    p, q = f
+    return p(x) * np.cos(np.pi * x) + q(x) * np.sin(np.pi * x)
 
 
-def v_dot(x, A: float = 1.0):
-    a, b, c, d = _v_dot_coefficients(A)
-    return (a + b * x) * np.cos(np.pi * x) + (c + d * (x * x - x)) * np.sin(np.pi * x)
+def _ode_residual(f, rhs):
+    """-f'' - pi^2 f - rhs as a (p, q) pair."""
+    return tuple(-d2 - math.pi ** 2 * c - r for d2, c, r in zip(_deriv(_deriv(f)), f, rhs))
 
 
-def v_dot_prime(x, A: float = 1.0):
-    a, b, c, d = _v_dot_coefficients(A)
-    pi = np.pi
-    return (b * np.cos(pi * x) - pi * (a + b * x) * np.sin(pi * x)
-            + d * (2.0 * x - 1.0) * np.sin(pi * x)
-            + pi * (c + d * (x * x - x)) * np.cos(pi * x))
-
-
-def _v_dot_second(x, A: float):
-    a, b, c, d = _v_dot_coefficients(A)
-    pi = np.pi
-    return (-2.0 * pi * b * np.sin(pi * x) - pi ** 2 * (a + b * x) * np.cos(pi * x)
-            + 2.0 * d * np.sin(pi * x) + 2.0 * pi * d * (2.0 * x - 1.0) * np.cos(pi * x)
-            - pi ** 2 * (c + d * (x * x - x)) * np.sin(pi * x))
-
-
-def u_dot(x, A: float = 1.0):
-    return (A / _SQRT2) * (np.sin(np.pi * x) / np.pi - x * np.cos(np.pi * x))
-
-
-def u_dot_prime(x, A: float = 1.0):
-    return (A / _SQRT2) * np.pi * x * np.sin(np.pi * x)
-
-
-def _u_dot_second(x, A: float):
-    return (A / _SQRT2) * (np.pi * np.sin(np.pi * x) + np.pi ** 2 * x * np.cos(np.pi * x))
+def _sup_bound(f) -> float:
+    """Sum of |coefficients|: a bound on [0, 1], where |x^k|, |cos|, |sin| <= 1."""
+    return float(sum(np.abs(part.coef).sum() for part in f))
 
 
 def _gauss01(n: int = 200):
@@ -195,37 +185,29 @@ def _gauss01(n: int = 200):
     return 0.5 * (z + 1.0), 0.5 * w
 
 
-def eigenfunction_derivative_residuals(A: float = 1.0, n_grid: int = 4001) -> dict:
+def eigenfunction_derivative_residuals(A: float = 1.0) -> dict:
     """Analytic certification of the closed-form derivatives v_dot and u_dot.
 
     The boundary-type derivative solves  -v'' - pi^2 v = rhs_v  with
     rhs_v = (A pi^2/sqrt(2) - sqrt(2) A pi^2 x) cos(pi x) - sqrt(2) A pi sin(pi x);
     the interior-type one solves  -u'' - pi^2 u = -sqrt(2) A pi sin(pi x).
-    Both have vanishing endpoint derivatives (evaluated from the analytic
-    first-derivative formulas, not finite differences).  Side conditions fix
+    Each ODE residual is reported as a bound on all of [0, 1] (``_sup_bound``).
+    Both derivatives have vanishing endpoint derivatives.  Side conditions fix
     the free cos(pi x) component: v_dot is L2-orthogonal to the eigenfunction,
     while differentiating the weighted normalization of u along the weight
     1 + t A x forces  int u_dot u0 dx = -A/4.
     """
-    x = np.linspace(0.0, 1.0, n_grid)
-    pi = np.pi
-    rhs_v = (A * pi ** 2 / _SQRT2 - _SQRT2 * A * pi ** 2 * x) * np.cos(pi * x) \
-        - _SQRT2 * A * pi * np.sin(pi * x)
-    res_v = -_v_dot_second(x, A) - pi ** 2 * v_dot(x, A) - rhs_v
-    rhs_u = -_SQRT2 * A * pi * np.sin(pi * x)
-    res_u = -_u_dot_second(x, A) - pi ** 2 * u_dot(x, A) - rhs_u
-
-    ends = np.array([0.0, 1.0])
-    vbc = np.abs(v_dot_prime(ends, A))
-    ubc = np.abs(u_dot_prime(ends, A))
+    f = eigenfunction_derivatives(A)
+    vbc, ubc = (np.abs(_at(_deriv(f[k]), np.array([0.0, 1.0]))) for k in ("v_dot", "u_dot"))
     g, w = _gauss01()
+    u0 = _at(f["u0"], g)
     return {
-        "v_ode_sup": float(np.abs(res_v).max()),
-        "u_ode_sup": float(np.abs(res_u).max()),
+        "v_ode_sup": _sup_bound(_ode_residual(f["v_dot"], f["rhs_v"])),
+        "u_ode_sup": _sup_bound(_ode_residual(f["u_dot"], f["rhs_u"])),
         "v_bc0": float(vbc[0]), "v_bc1": float(vbc[1]),
         "u_bc0": float(ubc[0]), "u_bc1": float(ubc[1]),
-        "v_orthogonality": abs(float(np.sum(w * v_dot(g, A) * u0(g)))),
-        "u_normalization": abs(float(np.sum(w * u_dot(g, A) * u0(g))) + A / 4.0),
+        "v_orthogonality": abs(float(np.sum(w * _at(f["v_dot"], g) * u0))),
+        "u_normalization": abs(float(np.sum(w * _at(f["u_dot"], g) * u0)) + A / 4.0),
     }
 
 
@@ -240,14 +222,13 @@ def second_variation_quadrature_check(A: float = 1.0) -> dict:
     compared with A^2 (3 - pi^2)/8 and 3 A^2/2.
     """
     g, w = _gauss01()
-    pi = np.pi
-    direction = linear_direction(A)
-    sd, md = sigma_dot(direction), mu_dot(direction)
-    sigma_ddot = 2.0 * float(np.sum(w * (A * g * u0_prime(g) * v_dot_prime(g, A))))
-    sigma_ddot -= 2.0 * sd * float(np.sum(w * u0(g) * v_dot(g, A)))
-    mu_ddot = 2.0 * float(np.sum(w * (A * g * (u0_prime(g) * u_dot_prime(g, A)
-                                               - pi ** 2 * u0(g) * u_dot(g, A)))))
-    mu_ddot -= 2.0 * md * float(np.sum(w * u0(g) * u_dot(g, A)))
+    f = eigenfunction_derivatives(A)
+    u0, v, u = (_at(f[k], g) for k in ("u0", "v_dot", "u_dot"))
+    u0p, vp, up = (_at(_deriv(f[k]), g) for k in ("u0", "v_dot", "u_dot"))
+    sigma_ddot = 2.0 * float(np.sum(w * A * g * u0p * vp)) \
+        - 2.0 * sigma_dot(linear_direction(A)) * float(np.sum(w * u0 * v))
+    mu_ddot = 2.0 * float(np.sum(w * A * g * (u0p * up - np.pi ** 2 * u0 * u))) \
+        - 2.0 * mu_dot(linear_direction(A)) * float(np.sum(w * u0 * u))
     return {
         "sigma_ddot": sigma_ddot,
         "sigma_ddot_closed": _SECOND_LINEAR["sigma"](A),
@@ -298,10 +279,8 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
     best = None
     evals = 0
     for r in range(restarts):
-        if r == 0:
-            y = np.ones(knots)
-        else:
-            y = np.asarray(profiles.random_profile(rng)(grid), dtype=float)
+        y = np.ones(knots) if r == 0 else \
+            np.asarray(profiles.random_profile(rng)(grid), dtype=float)
         h, f = _project_eval(grid, y, elements)
         evals += 1
         if h is None:

@@ -47,11 +47,11 @@ def test_exit_code_1_on_usage_errors(capsys):
 
 
 def test_exit_code_2_on_computation_failure(capsys):
-    rc = main(["triangle-ratio", "--x0", "1.5"])
+    rc = main(["f1d", "--profile", "tent:1.5"])
     captured = capsys.readouterr()
     assert rc == 2
     assert "computation failed" in captured.err
-    assert "x0 must lie strictly between 0 and 1" in captured.err
+    assert "tent peak must lie strictly inside (0, 1)" in captured.err
 
 
 @pytest.mark.parametrize("elements, rc", [("32", 0), ("34", 2)])
@@ -133,6 +133,17 @@ def test_bounds_values_and_csv(capsys, tmp_path):
     assert len(lines) == 401
 
 
+@pytest.mark.parametrize("grid", ["1", "7"])
+def test_bounds_csv_tabulates_the_scanned_grid(capsys, tmp_path, grid):
+    """The table lists the very points whose maximum seeds K, as plain floats."""
+    path = tmp_path / "grid.csv"
+    run_json(capsys, ["bounds", "--grid", grid, "--csv", str(path)])
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    taus = bounds.tau_grid(int(grid))
+    assert [float(tau) for tau, _, _ in rows] == taus.tolist()
+    assert [float(f) for _, _, f in rows] == [bounds.f_of_tau(t) for t in taus]
+
+
 def test_bounds_on_one_grid_point_reaches_the_fine_grid_constant(capsys):
     res = run_json(capsys, ["bounds", "--grid", "1"])["results"]
     assert res["K"] == pytest.approx(bounds.constant_K(1000)[0], abs=1e-9)
@@ -156,6 +167,10 @@ _PARAMETER_CASES = [
     (["geom", "--shape", "T1"], {"shape": "T1"}),
     (["fem", "--shape", "T1"], {"shape": "T1", "hmax": 0.03, "levels": 1}),
     (["thin", "--profile", "const"], {"profile": "const", "eps": "0.2,0.1,0.05", "dx0": 0.005}),
+    (["thin", "--profile", "const", "--eps", "0.4,0.2,,0.1", "--dx0", "1e-2"],
+     {"profile": "const", "eps": "0.4,0.2,,0.1", "dx0": 0.01}),
+    (["fem", "--shape", "T1", "--hmax", "0.1"], {"shape": "T1", "hmax": 0.1, "levels": 1}),
+    (["diagram", "--hmax", "1e-1"], {**_DIAGRAM_DEFAULTS, "hmax": 0.1, "threads": 1}),
     (["variation-check"], {"all": False, "elements": 2048, "seed": 0}),
     (["optimize-h"], {"mode": "min", "knots": 21, "restarts": 20, "seed": 0, "elements": 512}),
     (["diagram"], {**_DIAGRAM_DEFAULTS, "threads": 1}),
@@ -294,6 +309,10 @@ def test_optimize_h_rejects_nonpositive_restarts_as_usage_error(capsys, restarts
     assert "--restarts must be at least 1" in captured.err
 
 
+_EPS_MESSAGE = "--eps must list at least three finite positive values, strictly decreasing"
+_X0_MESSAGE = "--x0 must lie strictly between 0 and 1"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bounds", "--grid", "0"], "--grid must be at least 1"),
     (["fem", "--shape", "square", "--levels", "0"], "--levels must be at least 1"),
@@ -304,11 +323,34 @@ def test_optimize_h_rejects_nonpositive_restarts_as_usage_error(capsys, restarts
     (["optimize-h", "--elements", "4"], "--elements must be at least 8"),
     (["variation-check", "--elements", "4"], "--elements must be at least 8"),
     (["f1d", "--profile", "const", "--elements", "28"], "--elements must be at least 32"),
+    (["fem", "--shape", "square", "--hmax", "0"], "--hmax must be finite and positive"),
+    (["fem", "--shape", "square", "--hmax", "-0.1"], "--hmax must be finite and positive"),
+    (["fem", "--shape", "square", "--hmax", "nan"], "--hmax must be finite and positive"),
+    (["diagram", "--hmax", "0"], "--hmax must be finite and positive"),
+    (["diagram", "--hmax", "inf"], "--hmax must be finite and positive"),
+    (["thin", "--profile", "tent:0.5", "--dx0", "0"], "--dx0 must be finite and positive"),
+    (["thin", "--profile", "tent:0.5", "--dx0", "inf"], "--dx0 must be finite and positive"),
+    (["thin", "--profile", "tent:0.5", "--eps", "0"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "0.2,0.1"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "0.2,0.1,0"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "0.2,0.1,nan"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "inf,0.2,0.1"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "0.1,0.2,0.05"], _EPS_MESSAGE),
+    (["thin", "--profile", "tent:0.5", "--eps", "0.2,0.1,x"],
+     "argument --eps: invalid number value: '0.2,0.1,x'"),
+    (["triangle-ratio", "--x0", "1.5"], _X0_MESSAGE),
+    (["triangle-ratio", "--x0", "0"], _X0_MESSAGE),
+    (["triangle-ratio", "--x0", "1"], _X0_MESSAGE),
+    (["triangle-ratio", "--x0", "nan"], _X0_MESSAGE),
+    (["triangle-ratio", "--x0", "inf"], _X0_MESSAGE),
 ], ids=["grid", "levels", "restarts", "n", "threads", "knots", "optimize-h-elements",
-        "variation-check-elements", "f1d-elements"])
+        "variation-check-elements", "f1d-elements", "fem-hmax-0", "fem-hmax-negative",
+        "fem-hmax-nan", "diagram-hmax-0", "diagram-hmax-inf", "dx0-0", "dx0-inf", "eps-0",
+        "eps-two", "eps-zero-last", "eps-nan", "eps-inf", "eps-unsorted", "eps-text",
+        "x0-1.5", "x0-0", "x0-1", "x0-nan", "x0-inf"])
 def test_floor_errors_print_the_subcommand_usage(capsys, argv, message):
-    """Each floor is checked while its subcommand parses, so the error shows
-    that subcommand's usage, not the top-level one."""
+    """Each floor and each float range is checked while its subcommand
+    parses, so the error shows that subcommand's usage, not the top-level one."""
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

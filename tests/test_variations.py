@@ -84,8 +84,11 @@ def test_each_perturbed_profile_is_assembled_once(monkeypatch):
 
 
 def test_eigenfunction_derivative_residuals_tiny():
-    res = V.eigenfunction_derivative_residuals(A=1.3)
-    assert max(res.values()) <= 1e-10
+    for A in (0.7, 1.0, 1.3):
+        res = V.eigenfunction_derivative_residuals(A)
+        assert list(res) == ["v_ode_sup", "u_ode_sup", "v_bc0", "v_bc1", "u_bc0", "u_bc1",
+                             "v_orthogonality", "u_normalization"]
+        assert max(res.values()) <= 1e-12
 
 
 def test_second_variation_quadrature_reproduction():
@@ -94,11 +97,48 @@ def test_second_variation_quadrature_reproduction():
     assert q["mu_ddot"] == pytest.approx(q["mu_ddot_closed"], abs=1e-12)
 
 
+def _product_rule_residual(f, rhs, x):
+    """-f'' - pi^2 f - rhs at x for f = p cos(pi x) + q sin(pi x), with f''
+    from the product rule rather than the module's (p, q) rule."""
+    (p, q), (rp, rq) = f, rhs
+    c, s = np.cos(np.pi * x), np.sin(np.pi * x)
+    f2 = ((p.deriv(2)(x) - PI2 * p(x) + 2.0 * np.pi * q.deriv()(x)) * c
+          + (q.deriv(2)(x) - PI2 * q(x) - 2.0 * np.pi * p.deriv()(x)) * s)
+    return -f2 - PI2 * (p(x) * c + q(x) * s) - (rp(x) * c + rq(x) * s)
+
+
 def test_eigenfunction_derivatives_solve_their_odes_on_fresh_grid():
-    """Same residuals on a coarser random grid: not an artifact of n_grid."""
-    res = V.eigenfunction_derivative_residuals(A=0.7, n_grid=199)
-    assert res["v_ode_sup"] <= 1e-12
-    assert res["u_ode_sup"] <= 1e-12
+    """The reported ODE residuals bound the residual forms at every point of a
+    fresh grid and at random points; an independent product-rule evaluation
+    of each residual stays below 1e-12 there too."""
+    A = 0.7
+    res, forms = V.eigenfunction_derivative_residuals(A), V.eigenfunction_derivatives(A)
+    x = np.concatenate([np.linspace(0.0, 1.0, 199), np.random.default_rng(11).random(1000)])
+    for f, rhs, key in (("v_dot", "rhs_v", "v_ode_sup"), ("u_dot", "rhs_u", "u_ode_sup")):
+        assert res[key] <= 1e-12
+        assert np.abs(V._at(V._ode_residual(forms[f], forms[rhs]), x)).max() <= res[key]
+        assert np.abs(_product_rule_residual(forms[f], forms[rhs], x)).max() <= 1e-12
+
+
+_COEFFICIENTS = [("v_dot", 0, 0), ("v_dot", 0, 1), ("v_dot", 1, 0), ("v_dot", 1, 1),
+                 ("v_dot", 1, 2), ("u_dot", 0, 0), ("u_dot", 0, 1), ("u_dot", 1, 0)]
+
+
+@pytest.mark.parametrize("name, part, k", _COEFFICIENTS,
+                         ids=[f"{n}-{'pq'[part]}{k}" for n, part, k in _COEFFICIENTS])
+def test_certificate_catches_each_perturbed_coefficient(monkeypatch, name, part, k):
+    """A 1e-6 change to any one coefficient of v_dot or u_dot shows.  The
+    cos(pi x) and sin(pi x) terms solve the homogeneous ODE, so only the side
+    conditions and endpoint checks catch those."""
+    real = V.eigenfunction_derivatives
+
+    def mutant(A):
+        forms = real(A)
+        forms[name][part].coef[k] += 1e-6
+        return forms
+
+    monkeypatch.setattr(V, "eigenfunction_derivatives", mutant)
+    assert max(V.eigenfunction_derivative_residuals(1.0).values()) > 1e-10
 
 
 def test_optimizer_finds_known_extremals():
