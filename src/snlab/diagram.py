@@ -14,10 +14,11 @@ bound, the lower bound mu1 * D^2 >= pi^2, and the enclosing rectangle
 x <= 8 pi, y <= pi * j'_11^2) are counted separately in the summary; those
 counts are legitimate test targets.
 
-Samples draw their geometry from per-sample integer seeds derived from the
-campaign seed, so any single row of a campaign can be regenerated in
-isolation, and campaigns are deterministic for fixed (family, n, seed, hmax)
-regardless of how many workers evaluate them.
+The families come from one table, ``_FAMILIES``, of generators and CSV
+notes; the random ones draw through ``geom2d.random_hull``.  Each sample
+draws from its own integer seed, derived from the campaign seed, so any row
+can be regenerated in isolation, and campaigns are deterministic for fixed
+(family, n, seed, hmax) however many workers evaluate them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,9 +36,6 @@ from .fem2d import F_of_domain
 from .fem2d.functional import RECORD_COLUMNS, DomainRecord
 from .geom2d import ConvexPolygon
 
-FAMILIES = ("randomPolygon", "randomTriangle", "randomQuadrilateral",
-            "collapsingRectangle", "collapsingTent", "named")
-
 CSV_COLUMNS = ("id", "family", "seed") + RECORD_COLUMNS
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
@@ -44,7 +43,7 @@ X_LIMIT = 8.0 * math.pi
 Y_LIMIT = math.pi * bessel.j1prime_first_zero() ** 2
 
 _NAMED_SPECS = ("T1", "T2", "square", "disk:256", "rectangle:2:1", "rectangle:4:1")
-_TRIANGLE_MIN_ANGLE_DEG = 5.0
+_TRIANGLE_MIN_ANGLE_DEG = 5.0    # keeps meshes of triangles at the campaign hmax in quality
 _X_BINS = 12                     # fixed-x bins of the rectangle report
 
 
@@ -120,15 +119,6 @@ class Campaign:
 
 
 @dataclass(frozen=True)
-class _Sample:
-    id: str
-    family: str
-    seed: int
-    vertices: np.ndarray = field(repr=False)
-    hmax: float
-
-
-@dataclass(frozen=True)
 class CampaignResult:
     campaign: Campaign
     points: tuple
@@ -159,43 +149,14 @@ def _sample_seeds(seed: int, n: int) -> list:
     return [int(s) for s in state[:n]]
 
 
-def _random_triangle(rng: np.random.Generator) -> ConvexPolygon:
-    """Uniform vertices in the unit square, rejected below a 5-degree minimum
-    angle so that meshes at the campaign hmax stay within the quality floor."""
-    for _ in range(1000):
-        pts = rng.random((3, 2))
-        # written so that a NaN angle (coincident vertices) rejects the draw
-        if not geom2d.min_corner_angle_deg(pts) >= _TRIANGLE_MIN_ANGLE_DEG:
-            continue
-        try:
-            return ConvexPolygon(geom2d.convex_hull(pts))
-        except geom2d.GeometryError:
-            continue
-    raise geom2d.GeometryError("could not generate a usable triangle")
-
-
-def _random_quadrilateral(rng: np.random.Generator) -> ConvexPolygon:
-    """Hull of four uniform points in the unit square, rejected unless all
-    four are extreme (about 30% of draws collapse to triangles)."""
-    for _ in range(1000):
-        hull = geom2d.convex_hull(rng.random((4, 2)))
-        if len(hull) != 4:
-            continue
-        try:
-            return ConvexPolygon(hull)
-        except geom2d.GeometryError:
-            continue
-    raise geom2d.GeometryError("could not generate a usable quadrilateral")
-
-
-def _collapsing_rectangle(i: int, n: int) -> ConvexPolygon:
+def _collapsing_rectangle(rng, i: int, n: int) -> ConvexPolygon:
     # aspect ratios sweep 1 -> 0.01 geometrically (a single sample uses 0.1)
     t = 0.5 if n == 1 else i / (n - 1)
     eps = 10.0 ** (-2.0 * t)
     return ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, eps], [0.0, eps]]))
 
 
-def _collapsing_tent(i: int, n: int) -> ConvexPolygon:
+def _collapsing_tent(rng, i: int, n: int) -> ConvexPolygon:
     # symmetric tent cross-section; thickness sweeps 0.8 -> 0.05 geometrically
     t = 0.5 if n == 1 else i / (n - 1)
     eps = 0.8 * (0.05 / 0.8) ** t
@@ -203,36 +164,42 @@ def _collapsing_tent(i: int, n: int) -> ConvexPolygon:
     return geom2d.thin_domain(half, half, eps)
 
 
+def _wide_corners(poly: ConvexPolygon) -> bool:
+    return geom2d.min_corner_angle_deg(poly.vertices) >= _TRIANGLE_MIN_ANGLE_DEG
+
+
+# family -> (generator (rng, i, n) -> polygon, note in the CSV metadata)
+_FAMILIES = {
+    "randomPolygon": (lambda rng, i, n: geom2d.random_hull(15, rng),
+                      "hull of 15 uniform points in the unit square"),
+    "randomTriangle": (lambda rng, i, n: geom2d.random_hull(3, rng, _wide_corners),
+                       "uniform vertices, minimum angle >= 5 degrees"),
+    "randomQuadrilateral": (lambda rng, i, n: geom2d.random_hull(4, rng, lambda p: p.n == 4),
+                            "hull of 4 uniform points, all extreme"),
+    "collapsingRectangle": (_collapsing_rectangle, "aspect ratio 1 -> 0.01 geometric"),
+    "collapsingTent": (_collapsing_tent,
+                       "symmetric unit-mass tent section, thickness 0.8 -> 0.05"),
+    # cycles through the fixed roster
+    "named": (lambda rng, i, n: geom2d.named(_NAMED_SPECS[i % len(_NAMED_SPECS)]), None),
+}
+FAMILIES = tuple(_FAMILIES)
+
+
 def _sample_shapes(c: Campaign) -> list:
-    seeds = _sample_seeds(c.seed, c.n)
-    samples = []
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        if c.family == "randomPolygon":
-            poly = geom2d.random_hull(15, rng=rng)
-        elif c.family == "randomTriangle":
-            poly = _random_triangle(rng)
-        elif c.family == "randomQuadrilateral":
-            poly = _random_quadrilateral(rng)
-        elif c.family == "collapsingRectangle":
-            poly = _collapsing_rectangle(i, c.n)
-        elif c.family == "collapsingTent":
-            poly = _collapsing_tent(i, c.n)
-        else:  # named, cycling through the fixed roster
-            poly = geom2d.named(_NAMED_SPECS[i % len(_NAMED_SPECS)])
-        samples.append(_Sample(id=f"{c.family}-{i:04d}", family=c.family,
-                               seed=s, vertices=poly.vertices, hmax=c.hmax))
-    return samples
+    """(id, seed, polygon) of every sample, each drawn from its own seed."""
+    draw = _FAMILIES[c.family][0]
+    return [(f"{c.family}-{i:04d}", s, draw(np.random.default_rng(s), i, c.n))
+            for i, s in enumerate(_sample_seeds(c.seed, c.n))]
 
 
-def _evaluate_sample(sample: _Sample):
-    try:
-        record = F_of_domain(ConvexPolygon(sample.vertices), hmax=sample.hmax)
-        return DiagramPoint(id=sample.id, family=sample.family,
-                            seed=sample.seed, record=record)
+def _evaluate_sample(family: str, hmax: float, sample: tuple):
+    sid, seed, poly = sample
+    try:   # F_of_domain is looked up at call time, so it can be replaced
+        return DiagramPoint(id=sid, family=family, seed=seed,
+                            record=F_of_domain(poly, hmax=hmax))
     except Exception as exc:  # recorded per sample, campaign continues
-        return SampleError(id=sample.id, family=sample.family,
-                           seed=sample.seed, message=f"{type(exc).__name__}: {exc}")
+        return SampleError(id=sid, family=family, seed=seed,
+                           message=f"{type(exc).__name__}: {exc}")
 
 
 def run_campaign(c: Campaign, threads: int = 1) -> CampaignResult:
@@ -246,11 +213,12 @@ def run_campaign(c: Campaign, threads: int = 1) -> CampaignResult:
         raise ValueError("threads must be at least 1")
     samples = _sample_shapes(c)
     workers = min(threads, len(samples), os.cpu_count() or 1)
+    evaluate = partial(_evaluate_sample, c.family, c.hmax)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_sample, samples, chunksize=4))
+            outcomes = list(pool.map(evaluate, samples, chunksize=4))
     else:
-        outcomes = [_evaluate_sample(s) for s in samples]
+        outcomes = [evaluate(s) for s in samples]
     points = tuple(o for o in outcomes if isinstance(o, DiagramPoint))
     errors = tuple(o for o in outcomes if isinstance(o, SampleError))
     if samples and not points:
@@ -390,11 +358,7 @@ def campaign_metadata(result: CampaignResult) -> dict:
 _GENERATOR_NOTES = (
     "x = sigma1 * perimeter, y = mu1 * area, F = y / x",
     f"axes: x in [0, 8*pi = {X_LIMIT!r}], y in [0, pi*j'11^2 = {Y_LIMIT!r}]",
-    "randomPolygon: hull of 15 uniform points in the unit square",
-    "randomTriangle: uniform vertices, minimum angle >= 5 degrees",
-    "randomQuadrilateral: hull of 4 uniform points, all extreme",
-    "collapsingRectangle: aspect ratio 1 -> 0.01 geometric",
-    "collapsingTent: symmetric unit-mass tent section, thickness 0.8 -> 0.05",
+    *(f"{family}: {note}" for family, (_, note) in _FAMILIES.items() if note),
 )
 
 

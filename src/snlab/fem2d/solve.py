@@ -39,12 +39,16 @@ Guide, 1998)
     |beta_j y_j| <= eps |nu|,    eps the machine epsilon,
 
 where |beta_j y_j|, y_j the last entry of y, is the W-norm of the Ritz
-pair's residual in OP.  A breakdown (beta_j zero or not finite) before that
-test holds, or reaching ``_MAX_STEPS``, raises ``FEMError``.  An eigenvalue
-lambda' in (0, s) would show as nu' = 1 / (lambda' - s) < -1/s, and the
-largest nu would then belong to a higher eigenvalue, with a residual as small
-as any.  So when the smallest Ritz value at the stop is negative, the pencil
-is solved again at s = -rho/2, where K - sW is positive definite.
+pair's residual in OP.  It also stops when beta_j <= sqrt(eps) |OP q_j|_W,
+|OP q_j|_W^2 = alpha_j^2 + beta_{j-1}^2 + beta_j^2: the basis then spans an
+invariant subspace, as on a pencil with fewer distinct eigenvalues than steps
+(the 9-dof square at hmax 2), and its Ritz pairs are eigenpairs.  A breakdown
+(beta_1 zero, or beta_j not finite) or reaching ``_MAX_STEPS`` raises
+``FEMError``.  An eigenvalue lambda' in (0, s) would show as
+nu' = 1 / (lambda' - s) < -1/s, and the largest nu would then belong to a
+higher eigenvalue, with a residual as small as any.  So when the smallest
+Ritz value at the stop is negative, the pencil is solved again at
+s = -rho/2, where K - sW is positive definite.
 
 B is supported on boundary dofs only, so it is singular: semidefinite, not
 definite.  OP maps every vector to the discrete harmonic extension of W times
@@ -144,7 +148,9 @@ def _lanczos(solve, W, v0, z, kind: str):
             nu, S, info = dstevd(alpha, beta, compute_v=1)
             if info:
                 raise FEMError(f"{kind} tridiagonal eigensolve failed (LAPACK info {info})")
-            if abs(norm * S[-1, -1]) <= _EPS * abs(nu[-1]):
+            # beta_j at rounding level against |OP q_j|_W: an invariant subspace
+            invariant = norm * norm <= _EPS * (alpha[-1] ** 2 + beta[-1] ** 2 + norm * norm)
+            if invariant or abs(norm * S[-1, -1]) <= _EPS * abs(nu[-1]):
                 return nu, Q[1:j + 1].T @ S[:, -1], j + 1
         beta.append(norm)
     raise FEMError(f"{kind} Lanczos did not converge in {_MAX_STEPS} steps")

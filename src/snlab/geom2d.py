@@ -93,16 +93,19 @@ def convex_hull(points) -> np.ndarray:
 
 
 def random_hull(count: int = 15, rng: np.random.Generator | None = None,
-                seed: int | None = None) -> ConvexPolygon:
-    """Hull of uniform points in the unit square."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+                accept=lambda poly: True) -> ConvexPolygon:
+    """Hull of ``count`` uniform points in the unit square, drawn from ``rng``
+    (a ``Generator``, a seed or None).  A degenerate hull, or one for which
+    ``accept(hull)`` is false, is redrawn, up to 100 draws in all."""
+    rng = np.random.default_rng(rng)
     for _ in range(100):
         try:
-            return ConvexPolygon(convex_hull(rng.random((count, 2))))
+            poly = ConvexPolygon(convex_hull(rng.random((count, 2))))
         except GeometryError:
             continue
-    raise GeometryError("could not generate a non-degenerate hull")
+        if accept(poly):
+            return poly
+    raise GeometryError("could not generate an acceptable hull")
 
 
 def area(p: ConvexPolygon) -> float:

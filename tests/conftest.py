@@ -39,9 +39,8 @@ def drift_corpus() -> dict:
     campaigns += [("", diagram.Campaign(family, 12, seed=3, hmax=0.03))
                   for family in diagram.FAMILIES if family != "randomPolygon"]
     for prefix, campaign in campaigns:
-        for s in diagram._sample_shapes(campaign):
-            poly = geom2d.ConvexPolygon(s.vertices)
-            corpus[prefix + s.id] = lambda poly=poly, hmax=s.hmax: polygon_mesh(poly, hmax)
+        for sid, _, poly in diagram._sample_shapes(campaign):
+            corpus[prefix + sid] = lambda poly=poly, hmax=campaign.hmax: polygon_mesh(poly, hmax)
     halves = {"tent0.5": profiles.triangular(0.5), "tent0.3": profiles.triangular(0.3),
               "constant": profiles.constant(), "parabolic": profiles.resolve("parabolic")}
     strips = [(label, eps) for label in ("tent0.5", "tent0.3", "constant")

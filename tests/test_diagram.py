@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -63,29 +64,79 @@ def test_campaign_validation():
         Campaign(family="named", n=1, hmax=0.0)
 
 
+RANDOM_FAMILIES = ("randomPolygon", "randomTriangle", "randomQuadrilateral")
+
+
+def test_families_keep_their_order():
+    # also the order of the CLI's --family choices
+    assert diagram.FAMILIES == ("randomPolygon", "randomTriangle", "randomQuadrilateral",
+                                "collapsingRectangle", "collapsingTent", "named")
+
+
+def test_csv_generator_notes_are_pinned(tmp_path):
+    path = tmp_path / "empty.csv"
+    emit_csv([], path)
+    notes = [line for line in path.read_text().splitlines() if line.startswith("#")]
+    assert "\n".join(notes) == """\
+# x = sigma1 * perimeter, y = mu1 * area, F = y / x
+# axes: x in [0, 8*pi = 25.132741228718345], y in [0, pi*j'11^2 = 10.649866258676438]
+# randomPolygon: hull of 15 uniform points in the unit square
+# randomTriangle: uniform vertices, minimum angle >= 5 degrees
+# randomQuadrilateral: hull of 4 uniform points, all extreme
+# collapsingRectangle: aspect ratio 1 -> 0.01 geometric
+# collapsingTent: symmetric unit-mass tent section, thickness 0.8 -> 0.05"""
+
+
 def test_per_sample_seeds_are_stable_and_regenerable():
     seeds = diagram._sample_seeds(11, 6)
     assert seeds == diagram._sample_seeds(11, 6)
     assert diagram._sample_seeds(12, 6) != seeds
     # a single row can be regenerated from its own seed
-    samples = diagram._sample_shapes(Campaign(family="randomTriangle", n=6, seed=11))
-    rng = np.random.default_rng(samples[3].seed)
-    again = diagram._random_triangle(rng)
-    assert np.allclose(again.vertices, samples[3].vertices)
+    for family in RANDOM_FAMILIES:
+        sid, seed, poly = diagram._sample_shapes(Campaign(family=family, n=6, seed=11))[3]
+        assert sid == f"{family}-0003" and seed == seeds[3]
+        again = diagram._FAMILIES[family][0](np.random.default_rng(seed), 3, 6)
+        assert np.array_equal(again.vertices, poly.vertices)
 
 
 def test_generators_produce_valid_shapes():
     rng = np.random.default_rng(5)
+    draw_triangle = diagram._FAMILIES["randomTriangle"][0]
+    draw_quadrilateral = diagram._FAMILIES["randomQuadrilateral"][0]
     for _ in range(20):
-        tri = diagram._random_triangle(rng)
+        tri = draw_triangle(rng, 0, 1)
         assert len(tri.vertices) == 3
         assert geom2d.min_corner_angle_deg(tri.vertices) >= 5.0
-        quad = diagram._random_quadrilateral(rng)
+        quad = draw_quadrilateral(rng, 0, 1)
         assert len(quad.vertices) == 4
-    rect = diagram._collapsing_rectangle(4, 5)
+    rect = diagram._collapsing_rectangle(None, 4, 5)
     assert rect.vertices[:, 1].max() == pytest.approx(0.01)
-    tent = diagram._collapsing_tent(0, 5)
+    tent = diagram._collapsing_tent(None, 0, 5)
     assert geom2d.area(tent) == pytest.approx(0.8, rel=1e-9)
+
+
+class _CoincidentFirstDraw(np.random.Generator):
+    """``default_rng(seed)``, except that the first ``random`` call returns
+    one point repeated and leaves the stream where it was."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.calls = 0
+
+    def random(self, shape):
+        self.calls += 1
+        return np.full(shape, 0.5) if self.calls == 1 else super().random(shape)
+
+
+@pytest.mark.parametrize("family", RANDOM_FAMILIES)
+def test_degenerate_draws_are_redrawn(family):
+    draw = diagram._FAMILIES[family][0]
+    stub = _CoincidentFirstDraw(21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        poly = draw(stub, 0, 1)
+    assert stub.calls >= 2
+    assert np.array_equal(poly.vertices, draw(np.random.default_rng(21), 0, 1).vertices)
 
 
 def test_campaigns_are_deterministic():

@@ -176,10 +176,10 @@ def test_quality_warnings_point_at_the_mesher():
     mesh that only inherits a sharp polygon corner does not warn."""
     warned = {}
     for family in ("randomTriangle", "randomQuadrilateral", "collapsingTent"):
-        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
-            mesh = polygon_mesh(geom2d.ConvexPolygon(s.vertices), s.hmax)
+        for sid, _, poly in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3)):
+            mesh = polygon_mesh(poly, 0.03)
             if mesh.quality_warning is not None:
-                warned[s.id] = mesh.quality_warning
+                warned[sid] = mesh.quality_warning
     assert sorted(warned) == ["collapsingTent-0009", "randomTriangle-0011"]
     assert "17.01" in warned["collapsingTent-0009"] and "18.80" in warned["collapsingTent-0009"]
     assert "18.25" in warned["randomTriangle-0011"] and "20.47" in warned["randomTriangle-0011"]
@@ -337,27 +337,27 @@ def _interior_lattice_by_row_loop(vertices, h, clearance):
 
 def test_interior_lattice_matches_row_loop():
     for family in diagram.FAMILIES:
-        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+        for _, _, poly in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3)):
             for h in (0.024, 0.1, 0.7, 5.0):
-                assert np.array_equal(mesh_mod._interior_lattice(s.vertices, h, 0.44 * h),
-                                      _interior_lattice_by_row_loop(s.vertices, h, 0.44 * h))
+                assert np.array_equal(mesh_mod._interior_lattice(poly.vertices, h, 0.44 * h),
+                                      _interior_lattice_by_row_loop(poly.vertices, h, 0.44 * h))
 
 
 def test_boundary_ring_matches_point_loop():
     for family in diagram.FAMILIES:
-        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
+        for _, _, poly in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3)):
             for h in (0.024, 0.1, 5.0):
-                assert np.array_equal(mesh_mod._boundary_ring(s.vertices, h),
-                                      _boundary_ring_by_point_loop(s.vertices, h))
+                assert np.array_equal(mesh_mod._boundary_ring(poly.vertices, h),
+                                      _boundary_ring_by_point_loop(poly.vertices, h))
 
 
 def _reference_polygons():
     out = [("collinear-cap", geom2d.random_hull(15, rng=np.random.default_rng(2926583794887213564)))]
     for family in diagram.FAMILIES:
-        for s in diagram._sample_shapes(diagram.Campaign(family, 2, seed=3, hmax=0.03)):
-            out.append((s.id, geom2d.ConvexPolygon(s.vertices)))
-    for s in diagram._sample_shapes(diagram.Campaign("randomPolygon", 2, seed=7, hmax=0.03)):
-        out.append((f"seed7-{s.id}", geom2d.ConvexPolygon(s.vertices)))
+        out += [(sid, poly) for sid, _, poly in
+                diagram._sample_shapes(diagram.Campaign(family, 2, seed=3))]
+    out += [(f"seed7-{sid}", poly) for sid, _, poly in
+            diagram._sample_shapes(diagram.Campaign("randomPolygon", 2, seed=7))]
     return out
 
 

@@ -149,6 +149,22 @@ def test_steklov_matches_dense_schur_complement(mesh_of):
     assert steklov_sigma1(system).eigenvalue == pytest.approx(_schur_sigma1(system), rel=1e-10)
 
 
+def test_coarsest_square_mesh_is_certified():
+    """Two triangles, 9 dofs, 8 on the boundary: the Steklov pencil has only
+    five distinct nonzero eigenvalues, so Lanczos reaches an invariant
+    subspace and must stop there rather than normalize rounding into it."""
+    system = assemble(polygon_mesh(geom2d.named("square"), 2.0))
+    assert system.n_dofs == 9 and system.boundary_dofs.size == 8
+    sigma = steklov_sigma1(system)
+    assert sigma.residual <= RESIDUAL_TOL
+    assert sigma.eigenvalue == pytest.approx(_schur_sigma1(system), rel=1e-12)
+    assert sigma.eigenvalue == pytest.approx(1.4460320701031324, rel=1e-12)
+    mu = neumann_mu1(system)
+    K, M = system.K.toarray(), system.M.toarray()
+    assert mu.eigenvalue == pytest.approx(eigh(K, M, eigvals_only=True)[1], rel=1e-12)
+    assert mu.eigenvalue == pytest.approx(11.010205144336432, rel=1e-12)
+
+
 def test_parabolic_strip_steklov_solve_stays_sparse():
     """36k dofs, 8000 of them on the boundary, where one dense boundary block
     alone would take 512 MB; the residual certificate must still hold."""
@@ -216,8 +232,8 @@ def _parabolic_strip():
 
 
 def _campaign_mesh(i):
-    sample = diagram._sample_shapes(diagram.Campaign("randomPolygon", 10, seed=7))[i]
-    return polygon_mesh(geom2d.ConvexPolygon(sample.vertices), 0.03)
+    _, _, poly = diagram._sample_shapes(diagram.Campaign("randomPolygon", 10, seed=7))[i]
+    return polygon_mesh(poly, 0.03)
 
 
 _LANCZOS_CASES = {

@@ -298,10 +298,10 @@ def _walk_cases():
                                                      "rectangle:4:1")]
     for family in ("randomTriangle", "randomQuadrilateral", "collapsingRectangle",
                    "randomPolygon"):
-        for s in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03)):
-            cases.append((s.id, ConvexPolygon(s.vertices)))
+        cases += [(sid, poly) for sid, _, poly in
+                  diagram._sample_shapes(diagram.Campaign(family, 12, seed=3, hmax=0.03))]
     cases += [(f"{2 * k}-gon", geom2d.regular_polygon(2 * k)) for k in (2, 3, 4, 8, 33, 128)]
-    cases += [(f"hull-{s}", geom2d.random_hull(15, seed=s)) for s in range(40)]
+    cases += [(f"hull-{s}", geom2d.random_hull(15, rng=np.random.default_rng(s))) for s in range(40)]
     cases += [(f"{name}-{eps}", _strip(name, eps)) for name in ("tent:0.5", "tent:0.3", "const")
               for eps in (0.2, 0.1, 0.05)]
     cases.append(("parabolic-0.2", _strip("parabolic", 0.2)))
