@@ -147,10 +147,10 @@ def lower_bound_branches(delta: float) -> tuple[float, float]:
 
 
 @cache
-def upper_bound_constant(grid: int = 1000) -> float:
-    """2 (1 + K): the uniform upper bound for F on convex domains, computed
-    once per ``grid``."""
-    K, _ = constant_K(grid)
+def upper_bound_constant() -> float:
+    """2 (1 + K): the uniform upper bound for F on convex domains, with K from
+    ``constant_K()`` on its default grid, computed once."""
+    K, _ = constant_K()
     return 2.0 * (1.0 + K)
 
 

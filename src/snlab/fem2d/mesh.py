@@ -20,13 +20,13 @@ accuracy.
 
 Thin strips between two profile graphs get a structured anisotropic mesh:
 marching columns in x (graded by the local thickness, so degenerate tips are
-approached gracefully) with a fixed small number of cross layers.  Columns of
-zero thickness collapse to a single node and are connected by fans.  Node
-columns and column-pair triangles are built as whole arrays.
+approached gracefully) with ``THIN_LAYERS`` cross layers.  Columns of zero
+thickness collapse to a single node and are connected by fans.  Node columns
+and column-pair triangles are built as whole arrays, counterclockwise.
 
-Mesh sizes (``hmax``, ``eps``, ``dx0``, ``dx_min``) must be finite and
-positive and allow at most ``MAX_THIN_COLUMNS`` strip columns; anything else,
-and any empty or non-finite mesh, raises ``MeshError``.
+Mesh sizes (``hmax``, ``eps``, ``dx0``) must be finite and positive and allow
+at most ``MAX_THIN_COLUMNS`` strip columns; anything else, and any empty or
+non-finite mesh, raises ``MeshError``.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ QUALITY_FLOOR_DEG = 20.0
 QUALITY_MARGIN_DEG = 1.0
 # strip columns allowed, far above any solvable strip (about 1.6k at dx0 = 0.005)
 MAX_THIN_COLUMNS = 100_000
+THIN_LAYERS = 4                  # cross layers of a strip mesh
 _MAX_FLIP_SWEEPS = 20            # sweeps per flip pass (rounds + a final pass); passes need 0-1
 _INCIRCLE_TIE = 1e-12            # in-circle determinants this small against their terms are ties
 _SMOOTH_ROUNDS = 4               # smoothing rounds per polygon mesh
@@ -301,7 +302,7 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
 
     ring = _boundary_ring(canon, 0.8 * h)
     inner = _interior_lattice(canon, 0.8 * h, clearance=0.44 * h)
-    pts = np.concatenate([ring, inner]) if inner.size else ring
+    pts = np.concatenate([ring, inner])
     pts, tris = _smooth(pts, ring.shape[0], _SMOOTH_ROUNDS)
 
     covered = 0.5 * _signed_areas(pts, tris).sum()
@@ -339,12 +340,13 @@ def refine(mesh: TriangleMesh) -> TriangleMesh:
     return TriangleMesh(nodes, tris, quality_warning=mesh.quality_warning)
 
 
-def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float, dx_min: float) -> np.ndarray:
-    """March a graded x-grid; every profile knot is hit exactly."""
+def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float) -> np.ndarray:
+    """March a graded x-grid, steps dx0 / 8 to dx0; every profile knot is hit exactly."""
     knots = np.union1d(hplus.knots, hminus.knots)
-    # each column is a knot or at least min(dx0, dx_min) past its predecessor
-    if 1.0 / min(dx0, dx_min) + knots.size > MAX_THIN_COLUMNS:
-        raise MeshError(f"dx0={dx0!r}, dx_min={dx_min!r} allow over {MAX_THIN_COLUMNS} columns")
+    dx_min = dx0 / 8.0
+    # each column is a knot or at least dx_min past its predecessor
+    if 1.0 / dx_min + knots.size > MAX_THIN_COLUMNS:
+        raise MeshError(f"dx0={dx0!r} allows over {MAX_THIN_COLUMNS} columns")
     xs = [0.0]
     while xs[-1] < 1.0:
         x = xs[-1]
@@ -358,46 +360,39 @@ def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float, dx_min: float) 
     return np.array(xs)
 
 
-def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float,
-              dx0: float, layers: int = 4,
-              dx_min: float | None = None) -> TriangleMesh:
+def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float, dx0: float) -> TriangleMesh:
     """Structured anisotropic mesh of the strip -eps*hminus <= y <= eps*hplus.
 
     Anisotropy is intentional: the spectral quantities of interest vary slowly
     across the strip, and slab-aligned elements keep the degree-of-freedom
     count bounded as eps -> 0.  The isotropic quality floor does not apply.
     """
-    if dx_min is None:
-        dx_min = dx0 / 8.0
-    _require_positive(eps=eps, dx0=dx0, dx_min=dx_min)
-    if not (float(layers).is_integer() and layers >= 1):
-        raise MeshError(f"layers must be an integer >= 1, got {layers!r}")
-    layers = int(layers)
-    xs = _thin_columns(hplus, hminus, dx0, dx_min)
+    _require_positive(eps=eps, dx0=dx0)
+    xs = _thin_columns(hplus, hminus, dx0)
     top = eps * hplus(xs)
     bot = -eps * hminus(xs)
     thick = top - bot
     tiny = 1e-13 * eps * max(thick.max(), 1.0)
 
-    # a column is layers + 1 nodes bottom to top, or one node where it has no thickness
+    # a column is THIN_LAYERS + 1 nodes bottom to top, or one node where it has no thickness
     full = thick > tiny
     if np.any(~full[:-1] & ~full[1:]):
-        raise MeshError("two adjacent degenerate columns; decrease dx_min")
-    size = np.where(full, layers + 1, 1)
+        raise MeshError("two adjacent degenerate columns; decrease dx0")
+    size = np.where(full, THIN_LAYERS + 1, 1)
     start = np.concatenate([[0], np.cumsum(size)[:-1]])
     nodes = np.empty((int(size.sum()), 2))
     nodes[:, 0] = np.repeat(xs, size)
     nodes[start[~full], 1] = 0.5 * (bot[~full] + top[~full])
-    nodes[start[full, None] + np.arange(layers + 1), 1] = np.linspace(
-        bot[full], top[full], layers + 1, axis=1)
+    nodes[start[full, None] + np.arange(THIN_LAYERS + 1), 1] = np.linspace(
+        bot[full], top[full], THIN_LAYERS + 1, axis=1)
 
-    # each column pair is split into layers quads of two triangles; beside a
+    # each column pair is split into THIN_LAYERS quads of two triangles; beside a
     # degenerate column one of the two is flat and dropped, leaving a fan
-    j = np.arange(layers)
+    j = np.arange(THIN_LAYERS)
     lf, rf = full[:-1, None], full[1:, None]
     l0, l1 = start[:-1, None] + lf * j, start[:-1, None] + lf * (j + 1)
     r0, r1 = start[1:, None] + rf * j, start[1:, None] + rf * (j + 1)
     quads = np.stack([np.stack([l0, r0, r1], axis=-1),
                       np.stack([l0, r1, l1], axis=-1)], axis=2)
     keep = np.broadcast_to(np.stack([rf, lf], axis=-1), quads.shape[:3])
-    return TriangleMesh(nodes, _orient_ccw(nodes, quads[keep]))
+    return TriangleMesh(nodes, quads[keep])

@@ -92,12 +92,11 @@ def convex_hull(points) -> np.ndarray:
     return pts[np.roll(idx, -int(np.argmin(idx)))]
 
 
-def random_hull(count: int = 15, rng: np.random.Generator | None = None,
+def random_hull(count: int, rng: np.random.Generator,
                 accept=lambda poly: True) -> ConvexPolygon:
-    """Hull of ``count`` uniform points in the unit square, drawn from ``rng``
-    (a ``Generator``, a seed or None).  A degenerate hull, or one for which
+    """Hull of ``count`` uniform points in the unit square, drawn from the
+    ``Generator`` ``rng``.  A degenerate hull, or one for which
     ``accept(hull)`` is false, is redrawn, up to 100 draws in all."""
-    rng = np.random.default_rng(rng)
     for _ in range(100):
         try:
             poly = ConvexPolygon(convex_hull(rng.random((count, 2))))
@@ -218,17 +217,24 @@ def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float) -> ConvexPolygon:
     return ConvexPolygon(prune_collinear(arr))
 
 
-def regular_polygon(n: int, circumradius: float = 1.0) -> ConvexPolygon:
+def regular_polygon(n: int) -> ConvexPolygon:
+    """Regular n-gon of unit circumradius, with a vertex at (1, 0)."""
     if n < 3:
         raise GeometryError("need at least three vertices")
     th = 2.0 * np.pi * np.arange(n) / n
-    return ConvexPolygon(circumradius * np.stack([np.cos(th), np.sin(th)], axis=1))
+    return ConvexPolygon(np.stack([np.cos(th), np.sin(th)], axis=1))
+
+
+def _spec_number(spec: str, text: str, convert):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise GeometryError(f"bad shape spec {spec!r}") from exc
 
 
 def named(spec: str) -> ConvexPolygon:
     """Named shapes: T1, T2, square, disk[:n], rectangle:L:W."""
-    parts = spec.split(":")
-    kind = parts[0]
+    kind, *parts = spec.split(":")
     if kind == "T1":
         return ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
     if kind == "T2":
@@ -236,12 +242,11 @@ def named(spec: str) -> ConvexPolygon:
     if kind == "square":
         return ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
     if kind == "disk":
-        n = int(parts[1]) if len(parts) > 1 else 256
-        return regular_polygon(n)
+        return regular_polygon(_spec_number(spec, parts[0], int) if parts else 256)
     if kind == "rectangle":
-        if len(parts) != 3:
+        if len(parts) != 2:
             raise GeometryError("rectangle spec is rectangle:L:W")
-        L, W = float(parts[1]), float(parts[2])
+        L, W = (_spec_number(spec, text, float) for text in parts)
         if L <= 0 or W <= 0:
             raise GeometryError("rectangle sides must be positive")
         return ConvexPolygon(np.array([[0.0, 0.0], [L, 0.0], [L, W], [0.0, W]]))

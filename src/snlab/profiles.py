@@ -128,11 +128,9 @@ def triangular(x0: float) -> ProfileH:
     return ProfileH(np.array([0.0, x0, 1.0]), np.array([0.0, 2.0, 0.0]))
 
 
-def parabolic_star(n_knots: int = 2001) -> ProfileH:
-    """Piecewise-linear sampling of 6x(1-x) on uniform knots, then normalized."""
-    if n_knots < 3:
-        raise ProfileError("need at least three knots")
-    x = np.linspace(0.0, 1.0, n_knots)
+def parabolic_star() -> ProfileH:
+    """Piecewise-linear sampling of 6x(1-x) on 2001 uniform knots, then normalized."""
+    x = np.linspace(0.0, 1.0, 2001)
     return normalize(ProfileH(x, 6.0 * x * (1.0 - x)))
 
 
@@ -151,8 +149,8 @@ def scale(h: ProfileH, k: float) -> ProfileH:
     return ProfileH(h.knots, k * h.values)
 
 
-def project_concave(values, knots=None) -> ProfileH:
-    """Nearest concave nonnegative profile to the given ordinates.
+def project_concave(values, knots) -> ProfileH:
+    """Nearest concave nonnegative profile to the given ordinates at ``knots``.
 
     Slopes are made nonincreasing by a weighted ``isotonic_regression`` (pool
     adjacent violators), the ordinate level is chosen by least squares, and
@@ -161,10 +159,7 @@ def project_concave(values, knots=None) -> ProfileH:
     unit integral compose with :func:`normalize`.
     """
     values = np.asarray(values, dtype=float)
-    if knots is None:
-        knots = np.linspace(0.0, 1.0, values.size)
-    else:
-        knots = np.asarray(knots, dtype=float)
+    knots = np.asarray(knots, dtype=float)
     probe = ProfileH(knots, values)
     if validate(probe).ok:
         return probe

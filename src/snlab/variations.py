@@ -41,6 +41,7 @@ from .profiles import ProfileH
 FIRST_ORDER_STEPS = (1e-3, 5e-4, 2.5e-4)
 SECOND_ORDER_STEPS = (2e-3, 1e-3, 5e-4)
 _STEP0, _STEP_MIN = 0.25, 1e-4   # first and smallest pattern-search step
+_MAX_SWEEPS = 40                 # pattern-search sweeps per restart
 # closed-form second variations along phi = A x at h = 1
 _SECOND_LINEAR = {
     "sigma": lambda A: A * A * (3.0 - math.pi ** 2) / 8.0,
@@ -82,17 +83,17 @@ def F_dot(phi: ProfileH) -> float:
     return -integral_cos(phi, 2.0 * math.pi)
 
 
-def linear_direction(A: float, B: float = 0.0, n: int = 2) -> ProfileH:
-    x = np.linspace(0.0, 1.0, max(2, n))
+def linear_direction(A: float, B: float = 0.0) -> ProfileH:
+    x = np.array([0.0, 1.0])
     return ProfileH(x, B + A * x)
 
 
-def cosine_direction(n: int = 1001) -> ProfileH:
-    """Piecewise-linear sampling of cos(2 pi x).  Closed forms are evaluated on
-    the sampled direction, so finite-difference comparisons stay exact-in-phi;
-    only the comparison against the smooth-integral value -1/2 sees the O(n^-2)
-    sampling gap."""
-    x = np.linspace(0.0, 1.0, n)
+def cosine_direction() -> ProfileH:
+    """Piecewise-linear sampling of cos(2 pi x) on 1001 uniform knots.  Closed
+    forms are evaluated on the sampled direction, so finite-difference
+    comparisons stay exact-in-phi; only the comparison against the
+    smooth-integral value -1/2 sees the 1.6e-6 sampling gap."""
+    x = np.linspace(0.0, 1.0, 1001)
     return ProfileH(x, np.cos(2.0 * np.pi * x))
 
 
@@ -259,8 +260,9 @@ def _project_eval(grid: np.ndarray, y: np.ndarray, elements: int):
 
 
 def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
-               seed: int = 0, elements: int = 512, max_sweeps: int = 40) -> OptimizeResult:
-    """Pattern search over knot ordinates, projected into the admissible class.
+               seed: int = 0, elements: int = 512) -> OptimizeResult:
+    """Pattern search over knot ordinates, projected into the admissible class,
+    with at most ``_MAX_SWEEPS`` sweeps per restart.
 
     Local and best-effort by design: every iterate is projected to a
     nonnegative concave normalized profile, the value trace is monotone in the
@@ -289,7 +291,7 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
         trace = [f]
         step = _STEP0
         sweeps = 0
-        while step >= _STEP_MIN and sweeps < max_sweeps:
+        while step >= _STEP_MIN and sweeps < _MAX_SWEEPS:
             sweeps += 1
             improved = False
             for i in range(knots):

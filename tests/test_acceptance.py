@@ -94,7 +94,7 @@ def test_criterion_3_band_on_random_profiles(announce):
 def test_criterion_4_bound_constants(announce):
     t0 = time.perf_counter()
     K, tau_star = bounds.constant_K(1000)
-    upper = bounds.upper_bound_constant(1000)
+    upper = bounds.upper_bound_constant()
     sign_ok = 0
     for tau in np.linspace(0.0, 1.0, 1002)[1:-1]:
         for a, b in bounds.root_brackets(float(tau)):

@@ -1,29 +1,25 @@
-"""Bessel evaluation and tent-profile closed forms against an mpmath oracle."""
+"""Tent-profile equations and closed forms against an mpmath oracle."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import special
 
 from snlab import bessel
 
 mpmath.mp.dps = 30
 
 
-@pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 2.5, 3.9, 4.0, 4.1, 7.7, 13.0, 25.0, 40.0])
-def test_j0_j1_match_mpmath(x):
-    assert bessel.besselj0(x) == pytest.approx(float(mpmath.besselj(0, x)), abs=1e-14)
-    assert bessel.besselj1(x) == pytest.approx(float(mpmath.besselj(1, x)), abs=1e-14)
-
-
-@pytest.mark.parametrize("x", [0.1, 1.7, 5.3, 11.0])
-def test_derivative_identities(x):
-    # J0' = -J1 and J1' = J0 - J1/x
-    assert bessel.besselj0_prime(x) == pytest.approx(-bessel.besselj1(x), abs=1e-14)
-    want = bessel.besselj0(x) - bessel.besselj1(x) / x
-    assert float(special.jvp(1, x)) == pytest.approx(want, abs=1e-13)
+@pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 2.5, 3.9, 4.0, 4.1, 7.7, 13.0, 25.0, 40.0])
+def test_tent_disc_matches_mpmath(s):
+    """The discriminant both tent equations solve, -(J0(a) J1(b) + J0(b) J1(a))
+    at a = c s x0 and b = c s (1 - x0), against mpmath."""
+    for x0, arg_scale in ((0.5, 1.0), (0.3, 2.0), (0.8, 1.0)):
+        a, b = arg_scale * s * x0, arg_scale * s * (1.0 - x0)
+        want = -(mpmath.besselj(0, a) * mpmath.besselj(1, b)
+                 + mpmath.besselj(0, b) * mpmath.besselj(1, a))
+        assert bessel._tent_disc(s, x0, arg_scale) == pytest.approx(float(want), abs=1e-14)
 
 
 def test_first_zeros_against_mpmath():

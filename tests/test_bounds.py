@@ -126,23 +126,24 @@ def test_g_and_f_positive_on_interior():
 
 
 def test_upper_bound_constant_consistent_with_K():
-    K, _ = bounds.constant_K(500)
-    assert bounds.upper_bound_constant(500) == pytest.approx(2.0 * (1.0 + K), rel=1e-14)
+    """2 (1 + K), with K on the 1000-point grid."""
+    K, _ = bounds.constant_K(1000)
+    assert bounds.upper_bound_constant() == 2.0 * (1.0 + K)
 
 
-def test_upper_bound_constant_is_computed_once_per_grid(monkeypatch):
+def test_upper_bound_constant_is_computed_once(monkeypatch):
     calls = []
     constant_K = bounds.constant_K
 
-    def counting_constant_K(grid):
-        calls.append(grid)
-        return constant_K(grid)
+    def counting_constant_K(*args):
+        calls.append(args)
+        return constant_K(*args)
 
     monkeypatch.setattr(bounds, "constant_K", counting_constant_K)
     bounds.upper_bound_constant.cache_clear()
-    first = bounds.upper_bound_constant(400)
-    assert bounds.upper_bound_constant(400) is first
-    assert calls == [400]
+    first = bounds.upper_bound_constant()
+    assert bounds.upper_bound_constant() is first
+    assert calls == [()]
 
 
 @settings(max_examples=30, deadline=None)

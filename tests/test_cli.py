@@ -54,6 +54,18 @@ def test_exit_code_2_on_computation_failure(capsys):
     assert "tent peak must lie strictly inside (0, 1)" in captured.err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("disk:abc", "bad shape spec 'disk:abc'"),
+    ("disk:3.5", "bad shape spec 'disk:3.5'"),
+    ("rectangle:a:1", "bad shape spec 'rectangle:a:1'"),
+    ("rectangle:1:0", "rectangle sides must be positive"),
+])
+def test_malformed_shape_specs_are_geometry_errors(capsys, spec, message):
+    """An unparsable disk or rectangle number fails like an invalid one."""
+    assert main(["fem", "--shape", spec]) == 2
+    assert f"computation failed: GeometryError: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("elements, rc", [("32", 0), ("34", 2)])
 def test_f1d_elements_floor_and_divisibility(capsys, elements, rc):
     """32 elements leave the coarsest Richardson grid its 8; past the floor,

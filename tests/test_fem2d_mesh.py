@@ -12,7 +12,7 @@ from snlab import diagram, geom2d, profiles
 from snlab.fem2d import mesh as mesh_mod
 from snlab.fem2d import polygon_mesh, refine, thin_mesh
 from snlab.fem2d.assemble import _p2_connectivity
-from snlab.fem2d.mesh import MeshError, QUALITY_FLOOR_DEG, TriangleMesh
+from snlab.fem2d.mesh import MeshError, QUALITY_FLOOR_DEG, THIN_LAYERS, TriangleMesh
 
 # the package's ``assemble`` function shadows its module
 assemble_mod = importlib.import_module("snlab.fem2d.assemble")
@@ -112,24 +112,18 @@ def test_thin_mesh_degenerate_tips_collapse_to_single_nodes():
 
 def test_thin_mesh_rectangle_node_layout():
     half = profiles.scale(profiles.constant(), 0.5)
-    mesh = thin_mesh(half, half, 0.125, dx0=0.25, layers=2)
+    mesh = thin_mesh(half, half, 0.125, dx0=0.25)
     # column spacing follows dx0, not eps (DOF count stays bounded as eps -> 0)
     cols = np.unique(np.round(mesh.nodes[:, 0], 12))
     assert np.allclose(cols, [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert len(mesh.nodes) == 5 * 3  # layers + 1 nodes per column
+    assert len(mesh.nodes) == 5 * (THIN_LAYERS + 1)  # THIN_LAYERS + 1 nodes per column
+    assert mesh.n_triangles == 4 * 2 * THIN_LAYERS
     assert _areas(mesh).sum() == pytest.approx(0.125, rel=1e-12)
-
-
-def test_thin_mesh_accepts_integral_float_layers():
-    want = thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.05, layers=4)
-    got = thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.05, layers=4.0)
-    assert np.array_equal(got.nodes, want.nodes)
-    assert np.array_equal(got.triangles, want.triangles)
 
 
 def test_thin_mesh_grades_columns_toward_degenerate_tips():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
-    mesh = thin_mesh(half, half, 0.1, dx0=0.2, layers=2)
+    mesh = thin_mesh(half, half, 0.1, dx0=0.2)
     cols = np.unique(np.round(mesh.nodes[:, 0], 12))
     dx = np.diff(cols)
     # steps shrink where the unscaled span h+ + h- does (near the tips)
@@ -152,9 +146,6 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, float("nan"), dx0=0.01),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, dx_min=0.0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, layers=0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0.01, layers=2.5),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-300),
     lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-7),
     lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),
@@ -163,9 +154,8 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
     lambda: TriangleMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int)),
     lambda: TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
                          np.array([[0, 1, 2]])),
-], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx_min-zero", "layers-zero",
-        "layers-fraction", "dx0-1e-300", "dx0-1e-7", "hmax-nan", "hmax-inf", "hmax-zero",
-        "no-triangles", "nan-node"])
+], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx0-1e-300", "dx0-1e-7", "hmax-nan",
+        "hmax-inf", "hmax-zero", "no-triangles", "nan-node"])
 def test_degenerate_inputs_raise_mesh_error(make):
     with pytest.raises(MeshError):
         make()
@@ -262,8 +252,9 @@ def _p2_connectivity_by_dict(mesh):
     return nodes, tri6, btriples
 
 
-def _thin_mesh_by_column_loop(hplus, hminus, eps, dx0=0.01, layers=4):
-    xs = mesh_mod._thin_columns(hplus, hminus, dx0, dx0 / 8.0)
+def _thin_mesh_by_column_loop(hplus, hminus, eps, dx0):
+    layers = THIN_LAYERS
+    xs = mesh_mod._thin_columns(hplus, hminus, dx0)
     top, bot = eps * hplus(xs), -eps * hminus(xs)
     thick = top - bot
     tiny = 1e-13 * eps * max(thick.max(), 1.0)
@@ -596,18 +587,29 @@ def test_point_left_out_without_caps_raises(monkeypatch):
         polygon_mesh(geom2d.resolve("square"), 0.1)
 
 
-@pytest.mark.parametrize("half, eps, dx0, layers", [
-    (profiles.scale(profiles.triangular(0.5), 0.5), 0.2, 0.005, 4),
-    (profiles.scale(profiles.triangular(0.3), 0.5), 0.1, 0.005, 4),
-    (profiles.scale(profiles.constant(), 0.5), 0.05, 0.005, 4),
-    (profiles.scale(profiles.resolve("parabolic"), 0.5), 0.2, 0.005, 4),
-    (profiles.scale(profiles.triangular(0.5), 0.5), 0.2, 0.05, 4),
-    (profiles.scale(profiles.constant(), 0.5), 0.125, 0.25, 2),
-    (profiles.scale(profiles.triangular(0.5), 0.5), 0.1, 0.2, 2),
-], ids=["tent", "tent0.3", "rectangle", "parabolic", "tips", "layout", "graded"])
-def test_thin_mesh_array_routes_match_loop_references(half, eps, dx0, layers):
-    mesh = thin_mesh(half, half, eps, dx0=dx0, layers=layers)
-    nodes, tris = _thin_mesh_by_column_loop(half, half, eps, dx0=dx0, layers=layers)
+def _halves(h):
+    return profiles.scale(h, 0.5), profiles.scale(h, 0.5)
+
+
+@pytest.mark.parametrize("hplus, hminus, eps, dx0", [
+    (*_halves(profiles.triangular(0.5)), 0.2, 0.005),
+    (*_halves(profiles.triangular(0.3)), 0.1, 0.005),
+    (*_halves(profiles.constant()), 0.05, 0.005),
+    (*_halves(profiles.resolve("parabolic")), 0.2, 0.005),
+    (*_halves(profiles.triangular(0.5)), 0.2, 0.05),
+    (*_halves(profiles.constant()), 0.125, 0.25),
+    (*_halves(profiles.triangular(0.5)), 0.1, 0.2),
+    (profiles.scale(profiles.triangular(0.2), 0.7),
+     profiles.scale(profiles.resolve("parabolic"), 0.3), 0.2, 0.005),
+    (profiles.triangular(0.3), profiles.scale(profiles.constant(), 0.0), 0.1, 0.005),
+    (profiles.scale(profiles.constant(), 0.0), profiles.triangular(0.3), 0.1, 0.005),
+], ids=["tent", "tent0.3", "rectangle", "parabolic", "tips", "layout", "graded",
+        "asymmetric", "above-only", "below-only"])
+def test_thin_mesh_array_routes_match_loop_references(hplus, hminus, eps, dx0):
+    """The loop reference orients its triangles; the array route builds them
+    counterclockwise, one-sided strips included."""
+    mesh = thin_mesh(hplus, hminus, eps, dx0=dx0)
+    nodes, tris = _thin_mesh_by_column_loop(hplus, hminus, eps, dx0)
     assert np.array_equal(mesh.nodes, nodes)
     assert np.array_equal(mesh.triangles, tris)
     _assert_p2_matches_dict_route(mesh)

@@ -159,8 +159,9 @@ def test_save_load_resolve_roundtrip(tmp_path):
 
 
 def test_regular_polygon_area_formula():
-    hexagon = geom2d.regular_polygon(6, circumradius=2.0)
-    assert geom2d.area(hexagon) == pytest.approx(0.5 * 6 * 4.0 * math.sin(math.pi / 3), rel=1e-12)
+    hexagon = geom2d.regular_polygon(6)
+    assert hexagon.vertices[0].tolist() == [1.0, 0.0]
+    assert geom2d.area(hexagon) == pytest.approx(0.5 * 6 * math.sin(math.pi / 3), rel=1e-12)
 
 
 def test_convex_hull_of_grid_keeps_only_corners():

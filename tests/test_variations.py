@@ -142,10 +142,8 @@ def test_certificate_catches_each_perturbed_coefficient(monkeypatch, name, part,
 
 
 def test_optimizer_finds_known_extremals():
-    res_min = V.optimize_F(knots=9, mode="min", restarts=2, seed=3,
-                           elements=192, max_sweeps=10)
-    res_max = V.optimize_F(knots=9, mode="max", restarts=2, seed=3,
-                           elements=192, max_sweeps=10)
+    res_min = V.optimize_F(knots=9, mode="min", restarts=2, seed=3, elements=192)
+    res_max = V.optimize_F(knots=9, mode="max", restarts=2, seed=3, elements=192)
     assert res_min.value <= 1.0 + 1e-6
     assert res_min.value >= PI2 / 12.0 - 1e-3
     assert res_max.value >= 1.9
