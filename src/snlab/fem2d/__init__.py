@@ -4,12 +4,12 @@ from .mesh import MeshError, TriangleMesh, polygon_mesh, refine, thin_mesh
 from .assemble import FEMSystem, assemble
 from .solve import EigenPair2D, FEMError, neumann_mu1, steklov_sigma1
 from .functional import (DomainRecord, ThinSweep, F_of_domain, record_from_mesh,
-                         refinement_ladder, thin_sweep)
+                         record_from_system, refinement_ladder, thin_sweep)
 
 __all__ = [
     "MeshError", "TriangleMesh", "polygon_mesh", "refine", "thin_mesh",
     "FEMSystem", "assemble",
     "EigenPair2D", "FEMError", "neumann_mu1", "steklov_sigma1",
     "DomainRecord", "ThinSweep", "F_of_domain", "record_from_mesh",
-    "refinement_ladder", "thin_sweep",
+    "record_from_system", "refinement_ladder", "thin_sweep",
 ]

@@ -92,31 +92,53 @@ def _p2_connectivity(mesh: TriangleMesh):
     return nodes, tri6, btriples
 
 
-def assemble(mesh: TriangleMesh) -> FEMSystem:
+def _element_terms(mesh: TriangleMesh):
+    """``_p2_connectivity`` with the (rows, cols) of the element matrices, and per
+    element its area and the columns gx, gy of J^-1, which give d/dx and d/dy."""
     nodes, tri6, btriples = _p2_connectivity(mesh)
     corners = mesh.nodes[mesh.triangles]
     (j11, j21), (j12, j22) = (corners[:, 1] - corners[:, 0]).T, (corners[:, 2] - corners[:, 0]).T
     det = j11 * j22 - j12 * j21
-    area = 0.5 * det
-    # C = Jinv Jinv^T per element
-    inv11, inv12, inv21, inv22 = j22 / det, -j12 / det, -j21 / det, j11 / det
-    c01 = inv11 * inv21 + inv12 * inv22
-    C = np.stack([inv11 * inv11 + inv12 * inv12, c01, c01, inv21 * inv21 + inv22 * inv22],
-                 axis=1).reshape(-1, 2, 2)
+    gx, gy = (np.stack(g, axis=1) / det[:, None] for g in ((j22, -j21), (-j12, j11)))
+    pattern = np.repeat(tri6, 6, axis=1).ravel(), np.tile(tri6, (1, 6)).ravel()
+    return nodes, pattern, btriples, 0.5 * det, gx, gy
+
+
+def _boundary_mass(nodes: np.ndarray, btriples: np.ndarray) -> sparse.csc_matrix:
+    """B: each boundary edge's length times ``_EDGE_MASS`` on its triple."""
+    lengths = np.hypot(*(nodes[btriples[:, 1]] - nodes[btriples[:, 0]]).T)
+    be = lengths[:, None, None] * _EDGE_MASS
+    brows, bcols = np.repeat(btriples, 3, axis=1).ravel(), np.tile(btriples, (1, 3)).ravel()
+    return sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(len(nodes),) * 2).tocsc()
+
+
+def assemble(mesh: TriangleMesh) -> FEMSystem:
+    nodes, pattern, btriples, area, gx, gy = _element_terms(mesh)
+    # C = Jinv Jinv^T per element, the sum of its x and y parts
+    C = gx[:, :, None] * gx[:, None] + gy[:, :, None] * gy[:, None]
     ke = np.einsum("e,eab,ijab->eij", area, C, _STIFF_REF)
     me = area[:, None, None] * _MASS_REF
 
-    rows, cols = np.repeat(tri6, 6, axis=1).ravel(), np.tile(tri6, (1, 6)).ravel()
     n = nodes.shape[0]
     # one conversion sorts the pattern and sums duplicates for K (real part) and
     # M (imaginary part); complex addition rounds each part as real addition
     # does, so both equal their separate conversions bit for bit
-    KM = sparse.coo_matrix(((ke + 1j * me).ravel(), (rows, cols)), shape=(n, n)).tocsc()
-
-    lengths = np.hypot(*(nodes[btriples[:, 1]] - nodes[btriples[:, 0]]).T)
-    be = lengths[:, None, None] * _EDGE_MASS
-    brows, bcols = np.repeat(btriples, 3, axis=1).ravel(), np.tile(btriples, (1, 3)).ravel()
-    B = sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(n, n)).tocsc()
+    KM = sparse.coo_matrix(((ke + 1j * me).ravel(), pattern), shape=(n, n)).tocsc()
     K, M = (sparse.csc_matrix((data, KM.indices, KM.indptr), shape=(n, n))
             for data in (KM.data.real.copy(), KM.data.imag.copy()))
-    return FEMSystem(nodes=nodes, boundary_dofs=np.unique(btriples.ravel()), K=K, M=M, B=B)
+    return FEMSystem(nodes=nodes, boundary_dofs=np.unique(btriples.ravel()), K=K, M=M,
+                     B=_boundary_mass(nodes, btriples))
+
+
+def _stretched(mesh: TriangleMesh, system: FEMSystem, eps_list):
+    """``system = assemble(mesh)`` mapped by (x, y) -> (x, eps y), for each eps: on
+    its pattern K = eps (K - Ky) + Ky / eps, Ky the y part, and M = eps M; new B."""
+    _, pattern, btriples, area, _, gy = _element_terms(mesh)
+    ky = np.einsum("e,eab,ijab->eij", area, gy[:, :, None] * gy[:, None], _STIFF_REF).ravel()
+    ky = sparse.coo_matrix((ky, pattern), shape=system.K.shape).tocsc().data   # K's pattern
+    K, kx = system.K, system.K.data - ky
+    for eps in eps_list:
+        nodes = system.nodes * [1.0, eps]
+        Ke, Me = (sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
+                  for data in (eps * kx + ky / eps, eps * system.M.data))
+        yield FEMSystem(nodes, system.boundary_dofs, Ke, Me, _boundary_mass(nodes, btriples))

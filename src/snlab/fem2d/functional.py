@@ -1,15 +1,16 @@
 """Domain-level spectral functionals and thin-strip sweeps.
 
-``record_from_mesh`` ties geometry and spectrum together for one meshed
+``record_from_system`` ties geometry and spectrum together for one assembled
 domain: x = sigma1 * perimeter, y = mu1 * area, F = y / x.  Every domain
-record comes from it: ``F_of_domain`` for a polygon, ``thin_sweep`` for each
-strip, and ``refinement_ladder`` for each uniform refinement of a mesh.
+record comes from it: through ``record_from_mesh`` for ``F_of_domain`` and each
+level of ``refinement_ladder``, and directly for each strip of ``thin_sweep``.
 
 ``thin_sweep`` drives strips eps*(hplus, hminus) through decreasing eps,
-rescales sigma1 by 2/eps, and extrapolates with Aitken's delta-squared, which
-needs no a-priori convergence order.  The limits are the 1D weighted
-eigenvalues of the total thickness profile h = hplus + hminus: mu1(strip) ->
-mu1(h), 2*sigma1(strip)/eps -> sigma1(h), and F(strip) -> F(h).
+rescales sigma1 by 2/eps, and extrapolates with Aitken's delta-squared.  Each
+strip is the image of the strip at eps = 1 under (x, y) -> (x, eps y), which
+is meshed and assembled once.  The limits are the 1D weighted eigenvalues of
+h = hplus + hminus: mu1(strip) -> mu1(h), 2*sigma1(strip)/eps -> sigma1(h),
+and F(strip) -> F(h).
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import geom2d, profiles, sl1d
 from ..geom2d import ConvexPolygon
 from ..profiles import ProfileH
-from .assemble import assemble
-from .mesh import polygon_mesh, refine, thin_mesh
+from .assemble import FEMSystem, _stretched, assemble
+from .mesh import TriangleMesh, _require_positive, polygon_mesh, refine, thin_mesh
 from .solve import neumann_mu1, steklov_sigma1
 
 # the reported fields of a record, in output order (``as_dict``, the diagram CSV)
@@ -59,11 +58,11 @@ class DomainRecord:
         return {k: getattr(self, k) for k in RECORD_COLUMNS}
 
 
-def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
-    """Functional record of a meshed domain with geometry ``geo``: the one
-    path from a mesh to (mu1, sigma1, x, y, F), their residuals, the
+def record_from_system(system: FEMSystem, geo: geom2d.GeometryFunctionals, hmax: float,
+                       warning: str | None) -> DomainRecord:
+    """Record of an assembled domain with geometry ``geo``, meshed at ``hmax``
+    with quality ``warning``: (mu1, sigma1, x, y, F), their residuals, the
     solvers' operator applications, their factors' fill and their shifts."""
-    system = assemble(mesh)
     mu = neumann_mu1(system)
     sg = steklov_sigma1(system)
     x = sg.eigenvalue * geo.perimeter
@@ -72,12 +71,15 @@ def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
         area=geo.area, perimeter=geo.perimeter, diameter=geo.diameter,
         width=geo.width, inradius=geo.inradius,
         mu1=mu.eigenvalue, sigma1=sg.eigenvalue, x=x, y=y, F=y / x,
-        dofs=system.n_dofs, hmax=mesh.hmax(),
+        dofs=system.n_dofs, hmax=hmax,
         mu_residual=mu.residual, sigma_residual=sg.residual,
         mu_iterations=mu.iterations, sigma_iterations=sg.iterations,
         mu_lu_nnz=mu.lu_nnz, sigma_lu_nnz=sg.lu_nnz,
-        mu_shift=mu.shift, sigma_shift=sg.shift,
-        warning=mesh.quality_warning)
+        mu_shift=mu.shift, sigma_shift=sg.shift, warning=warning)
+
+
+def record_from_mesh(mesh, geo: geom2d.GeometryFunctionals) -> DomainRecord:
+    return record_from_system(assemble(mesh), geo, mesh.hmax(), mesh.quality_warning)
 
 
 def F_of_domain(poly: ConvexPolygon, hmax: float = 0.03) -> DomainRecord:
@@ -141,19 +143,21 @@ def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
     eps_arr = tuple(float(e) for e in eps_list)
     if len(eps_arr) < 3 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("need a decreasing list of at least three eps values")
-    mu_seq, scaled_seq, f_seq = [], [], []
     for eps in eps_arr:
-        mesh = thin_mesh(hplus, hminus, eps, dx0=dx0)
+        _require_positive(eps=eps)
+    ref = thin_mesh(hplus, hminus, 1.0, dx0=dx0)
+    rows = []
+    for eps, system in zip(eps_arr, _stretched(ref, assemble(ref), eps_arr)):
+        mesh = TriangleMesh(ref.nodes * [1.0, eps], ref.triangles)
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
-        rec = record_from_mesh(mesh, geo)
-        mu_seq.append(rec.mu1)
-        scaled_seq.append(2.0 * rec.sigma1 / eps)
-        f_seq.append(rec.F)
+        rec = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
+        rows.append((rec.mu1, 2.0 * rec.sigma1 / eps, rec.F))
+    mu_seq, scaled_seq, f_seq = zip(*rows)
 
     mu_lim, sg_lim, f_lim = sl1d.extrapolated_limits(profiles.add(hplus, hminus),
                                                      elements_1d)
     return ThinSweep(
-        eps=eps_arr, mu1=tuple(mu_seq), sigma1_rescaled=tuple(scaled_seq), F=tuple(f_seq),
+        eps=eps_arr, mu1=mu_seq, sigma1_rescaled=scaled_seq, F=f_seq,
         mu1_extrapolated=aitken(mu_seq),
         sigma1_rescaled_extrapolated=aitken(scaled_seq),
         F_extrapolated=aitken(f_seq),

@@ -3,8 +3,8 @@
 Hulls come from qhull.  Functionals follow the classical algorithms: shoelace
 area; diameter and width from one table of antipodal pairs (for each edge the
 vertex farthest from it, found by a sorted search of the edge angles, as in
-Toussaint's rotating calipers); Chebyshev center by linear programming for
-the inradius.  Thin domains are built from a pair of profiles as
+Toussaint's rotating calipers); the inradius and Chebyshev center from the
+straight skeleton.  Thin domains are built from a pair of profiles as
 {(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
 result is convex and, since profiles are piecewise linear, the polygon is the
 exact domain rather than a sampling of it.
@@ -12,11 +12,11 @@ exact domain rather than a sampling of it.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from .profiles import ProfileH
@@ -65,11 +65,7 @@ def prune_collinear(points: np.ndarray) -> np.ndarray:
     for _ in range(v.shape[0]):
         if v.shape[0] < 3:
             raise GeometryError("pruning collapsed the polygon")
-        prev = np.roll(v, 1, axis=0)
-        nxt = np.roll(v, -1, axis=0)
-        cross = ((v[:, 0] - prev[:, 0]) * (nxt[:, 1] - v[:, 1])
-                 - (v[:, 1] - prev[:, 1]) * (nxt[:, 0] - v[:, 0]))
-        keep = cross > COLLINEAR_TOL * scale
+        keep = np.roll(_edge_crosses(v), 1) > COLLINEAR_TOL * scale
         if np.all(keep):
             return v
         v = v[keep]
@@ -160,21 +156,41 @@ def width(p: ConvexPolygon) -> float:
 
 
 def inradius(p: ConvexPolygon) -> tuple[float, np.ndarray]:
-    """Chebyshev center: maximize r subject to being r inside every edge."""
+    """Chebyshev center from the straight skeleton, the medial axis of a convex
+    polygon (Chin, Snoeyink & Wang, Discrete Comput. Geom. 21, 1999): the edge
+    lines move inward at unit speed, the edge that first collapses (meets both
+    neighbour lines) is dropped, and so on, until three lines meet at time r."""
     v = p.vertices
+    origin = v.mean(axis=0)
     e = np.roll(v, -1, axis=0) - v
-    lengths = np.hypot(e[:, 0], e[:, 1])
-    # inward normal of a CCW edge is (-ey, ex) / |e|
-    normals = np.stack([-e[:, 1], e[:, 0]], axis=1) / lengths[:, None]
-    # constraint: n . (c - v_i) >= r  ->  -n . c + r <= -n . v_i
-    A_ub = np.hstack([-normals, np.ones((v.shape[0], 1))])
-    b_ub = -np.einsum("ij,ij->i", normals, v)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0, None)], method="highs")
-    if not res.success:
-        raise GeometryError(f"Chebyshev center LP failed: {res.message}")
-    cx, cy, r = res.x
-    return float(r), np.array([cx, cy])
+    nrm = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    nx, ny = nrm.T.tolist()
+    off = np.einsum("ij,ij->i", nrm, v - origin).tolist()
+
+    def meet(a, b, c):
+        # (t, x, y) with n.(x, y) - t = off on lines a, b, c; less a's row, 2 x 2
+        b1, b2, f = nx[b] - nx[a], ny[b] - ny[a], off[b] - off[a]
+        c1, c2, g = nx[c] - nx[a], ny[c] - ny[a], off[c] - off[a]
+        det = b1 * c2 - b2 * c1
+        x, y = (f * c2 - b2 * g) / det, (b1 * g - f * c1) / det
+        return nx[a] * x + ny[a] * y - off[a], x, y
+
+    n = p.n
+    prev, nxt = [(i - 1) % n for i in range(n)], [(i + 1) % n for i in range(n)]
+    time = [meet(prev[i], i, nxt[i])[0] for i in range(n)]
+    heap = sorted(zip(time, range(n)))
+    j = 0
+    for _ in range(n - 3):
+        t, i = heapq.heappop(heap)
+        while t != time[i]:              # a dropped edge, or a renewed time
+            t, i = heapq.heappop(heap)
+        time[i] = float("nan")
+        nxt[prev[i]], prev[nxt[i]] = nxt[i], prev[i]
+        for j in (prev[i], nxt[i]):
+            time[j] = meet(prev[j], j, nxt[j])[0]
+            heapq.heappush(heap, (time[j], j))
+    r, x, y = meet(prev[j], j, nxt[j])
+    return float(r), origin + [x, y]
 
 
 @dataclass(frozen=True)
@@ -235,6 +251,8 @@ def _spec_number(spec: str, text: str, convert):
 def named(spec: str) -> ConvexPolygon:
     """Named shapes: T1, T2, square, disk[:n], rectangle:L:W."""
     kind, *parts = spec.split(":")
+    if kind in ("T1", "T2", "square") and parts or kind == "disk" and len(parts) > 1:
+        raise GeometryError(f"bad shape spec {spec!r}")
     if kind == "T1":
         return ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
     if kind == "T2":

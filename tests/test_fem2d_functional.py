@@ -8,8 +8,10 @@ import pytest
 
 from snlab import bessel, geom2d, profiles
 from snlab.cli import main
-from snlab.fem2d import (F_of_domain, polygon_mesh, record_from_mesh, refine,
-                         refinement_ladder, thin_sweep)
+from snlab.fem2d import (F_of_domain, MeshError, assemble, functional, polygon_mesh,
+                         record_from_mesh, record_from_system, refine, refinement_ladder,
+                         thin_mesh, thin_sweep)
+from snlab.fem2d.assemble import _stretched
 from snlab.fem2d.functional import aitken
 
 
@@ -91,3 +93,95 @@ def test_thin_sweep_requires_three_decreasing_eps():
         thin_sweep(half, half, (0.2, 0.1))
     with pytest.raises(ValueError):
         thin_sweep(half, half, (0.1, 0.2, 0.05))
+
+
+# --- one reference strip per sweep, stretched to each eps ---
+
+_HALF = {name: profiles.scale(profiles.resolve(name), 0.5)
+         for name in ("tent:0.5", "tent:0.3", "const")}
+STRIP_PAIRS = {name: (half, half) for name, half in _HALF.items()}
+STRIP_PAIRS["one-sided tent:0.3"] = (profiles.triangular(0.3),
+                                     profiles.scale(profiles.constant(), 0.0))
+
+
+def sweep_by_eps_loop(hplus, hminus, eps_list, dx0):
+    """``thin_sweep`` before it shared one strip: every eps meshed and assembled."""
+    mu, scaled, F = [], [], []
+    for eps in eps_list:
+        geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
+        rec = record_from_mesh(thin_mesh(hplus, hminus, eps, dx0=dx0), geo)
+        mu.append(rec.mu1)
+        scaled.append(2.0 * rec.sigma1 / eps)
+        F.append(rec.F)
+    return mu, scaled, F
+
+
+@pytest.mark.parametrize("name", STRIP_PAIRS)
+def test_stretched_strip_matches_assembly_at_each_eps(name):
+    hplus, hminus = STRIP_PAIRS[name]
+    eps_list = (0.2, 0.05, 1e-3)
+    ref = thin_mesh(hplus, hminus, 1.0, dx0=0.01)
+    for eps, got in zip(eps_list, _stretched(ref, assemble(ref), eps_list)):
+        mesh = thin_mesh(hplus, hminus, eps, dx0=0.01)
+        # degenerate tip columns classify as at eps = 1: the same triangles
+        assert np.array_equal(mesh.triangles, ref.triangles)
+        want = assemble(mesh)
+        assert np.array_equal(got.boundary_dofs, want.boundary_dofs)
+        assert np.allclose(got.nodes, want.nodes, rtol=0.0, atol=1e-15)
+        for key in ("K", "M", "B"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert abs(a - b).max() <= 1e-13 * abs(b).max(), key
+        # K and M on one pattern, as ``assemble`` leaves them
+        assert np.shares_memory(got.K.indices, got.M.indices)
+        assert np.shares_memory(got.K.indptr, got.M.indptr)
+        assert np.array_equal(got.K.indices, want.K.indices)
+        assert np.array_equal(got.K.indptr, want.K.indptr)
+
+
+@pytest.mark.parametrize("name", STRIP_PAIRS)
+def test_thin_sweep_matches_the_per_eps_loop(name):
+    hplus, hminus = STRIP_PAIRS[name]
+    eps_list = (0.2, 0.1, 0.05)
+    sweep = thin_sweep(hplus, hminus, eps_list, dx0=0.02, elements_1d=256)
+    oracle = sweep_by_eps_loop(hplus, hminus, eps_list, 0.02)
+    for got, want in zip((sweep.mu1, sweep.sigma1_rescaled, sweep.F), oracle):
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert aitken(got) == pytest.approx(aitken(want), rel=1e-10)
+    assert sweep.mu1_extrapolated == aitken(sweep.mu1)
+
+
+def test_thin_sweep_meshes_and_assembles_once(monkeypatch):
+    calls = {"thin_mesh": 0, "assemble": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(functional, name, counting(name, getattr(functional, name)))
+    half = _HALF["tent:0.5"]
+    thin_sweep(half, half, (0.2, 0.1, 0.05, 0.025), dx0=0.05, elements_1d=64)
+    assert calls == {"thin_mesh": 1, "assemble": 1}
+
+
+@pytest.mark.parametrize("eps_list", [(0.2, 0.1, 0.0), (0.2, 0.1, -0.05),
+                                      (0.2, math.nan, 0.05), (0.2, 0.1, 0.05, math.nan)])
+def test_thin_sweep_rejects_bad_eps_before_any_solve(monkeypatch, eps_list):
+    def no_solve(system):
+        raise AssertionError("solved before the eps list was checked")
+
+    monkeypatch.setattr(functional, "neumann_mu1", no_solve)
+    monkeypatch.setattr(functional, "steklov_sigma1", no_solve)
+    half = _HALF["const"]
+    with pytest.raises(MeshError, match="eps must be finite and positive"):
+        thin_sweep(half, half, eps_list, dx0=0.05)
+
+
+def test_record_from_mesh_is_assembly_then_record_from_system():
+    square = geom2d.resolve("square")
+    mesh = polygon_mesh(square, 0.3)
+    geo = geom2d.functionals(square)
+    assert record_from_mesh(mesh, geo) == record_from_system(
+        assemble(mesh), geo, mesh.hmax(), mesh.quality_warning)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from snlab import diagram, geom2d, profiles
 from snlab.geom2d import ConvexPolygon, GeometryError
@@ -343,3 +344,100 @@ def test_diameter_and_width_use_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20      # an n x n float array would take 128 MB
+
+
+# --- the inradius from the straight skeleton, against the Chebyshev-center LP ---
+
+def lp_inradius(poly: ConvexPolygon) -> tuple[float, np.ndarray]:
+    """Chebyshev center by linear programming: maximize r subject to being r
+    inside every edge line.  HiGHS's feasibility tolerances are absolute, 1e-7
+    by default, which is 1e-6 of the radius of the parabolic strip at eps 0.005;
+    at 1e-10 its radius agrees with the depth of its center."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    nrm = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.hstack([-nrm, np.ones((len(v), 1))]),
+                  b_ub=-np.einsum("ij,ij->i", nrm, v),
+                  bounds=[(None, None), (None, None), (0, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return float(res.x[2]), res.x[:2]
+
+
+def _depth(poly: ConvexPolygon, point: np.ndarray) -> float:
+    """Distance from ``point`` to the nearest edge line (negative outside)."""
+    v = poly.vertices
+    e = np.roll(v, -1, axis=0) - v
+    nrm = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+    return float(np.min(nrm @ point - np.einsum("ij,ij->i", nrm, v)))
+
+
+def _assert_matches_lp(poly: ConvexPolygon, rel: float = 1e-11):
+    r, center = geom2d.inradius(poly)
+    r_lp, _ = lp_inradius(poly)
+    assert abs(r - r_lp) <= rel * r_lp
+    # the center realizes the radius (the center itself need not be unique)
+    assert abs(_depth(poly, center) - r) <= rel * r_lp
+
+
+@pytest.mark.parametrize("family", diagram.FAMILIES)
+def test_inradius_matches_lp_on_campaign_families(family):
+    for _, _, poly in diagram._sample_shapes(diagram.Campaign(family, 300, seed=11, hmax=0.03)):
+        _assert_matches_lp(poly)
+
+
+def test_inradius_matches_lp_on_named_shapes():
+    for spec in ("T1", "T2", "square", "rectangle:2:1", "rectangle:1e-3:1", "disk:3",
+                 "disk:6", "disk:7", "disk", "disk:256"):
+        _assert_matches_lp(geom2d.named(spec))
+
+
+@pytest.mark.parametrize("name", ["tent:0.5", "tent:0.3", "const", "parabolic"])
+def test_inradius_matches_lp_on_thin_domains(name):
+    half = profiles.scale(profiles.resolve(name), 0.5)
+    zero = profiles.scale(profiles.constant(), 0.0)
+    # the 4000-knot parabolic domain cannot be built below eps = 0.005: its
+    # turns fall under COLLINEAR_TOL and pruning collapses it
+    for eps in (0.2, 0.05, 5e-3) if name == "parabolic" else (0.2, 0.05, 1e-3):
+        _assert_matches_lp(geom2d.thin_domain(half, half, eps))
+        # one-sided: hminus = 0
+        _assert_matches_lp(geom2d.thin_domain(profiles.resolve(name), zero, eps))
+
+
+def test_inradius_closed_forms():
+    exact = {"square": 0.5, "T1": math.sqrt(3.0) / 6.0, "T2": 1.0 - math.sqrt(2.0) / 2.0,
+             "rectangle:2:1": 0.5, "rectangle:1:7": 0.5, "rectangle:1e-3:1": 5e-4}
+    for spec, r in exact.items():
+        assert abs(geom2d.inradius(geom2d.named(spec))[0] - r) <= 1e-12 * r
+    for n in range(3, 257):
+        r, center = geom2d.inradius(geom2d.regular_polygon(n))
+        assert abs(r - math.cos(math.pi / n)) <= 1e-12
+        assert np.abs(center).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_inradius_invariant_under_rotation_scaling_and_relabelling(seed):
+    rng = np.random.default_rng(seed)
+    poly = geom2d.random_hull(12, rng)
+    r, center = geom2d.inradius(poly)
+    theta, scale, shift = rng.uniform(0, 2 * np.pi), rng.uniform(0.1, 10.0), rng.normal(size=2)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    moved = ConvexPolygon(scale * poly.vertices @ rot.T + shift)
+    r2, c2 = geom2d.inradius(moved)
+    assert abs(r2 - scale * r) <= 1e-12 * scale * r
+    assert _depth(moved, scale * rot @ center + shift) == pytest.approx(r2, rel=1e-12)
+    for k in range(1, poly.n):
+        assert geom2d.inradius(ConvexPolygon(np.roll(poly.vertices, k, axis=0)))[0] \
+            == pytest.approx(r, rel=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["disk:6:junk", "disk:6:", "square:7", "T1:x", "T2:1", "T1:"])
+def test_named_rejects_trailing_spec_parts(spec):
+    with pytest.raises(GeometryError, match="bad shape spec"):
+        geom2d.named(spec)
+
+
+def test_named_disk_specs_unchanged():
+    assert geom2d.named("disk").n == 256
+    assert np.array_equal(geom2d.named("disk:6").vertices, geom2d.regular_polygon(6).vertices)
