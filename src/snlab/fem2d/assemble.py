@@ -130,9 +130,11 @@ def assemble(mesh: TriangleMesh) -> FEMSystem:
                      B=_boundary_mass(nodes, btriples))
 
 
-def _stretched(mesh: TriangleMesh, system: FEMSystem, eps_list):
-    """``system = assemble(mesh)`` mapped by (x, y) -> (x, eps y), for each eps: on
-    its pattern K = eps (K - Ky) + Ky / eps, Ky the y part, and M = eps M; new B."""
+def _stretched(mesh: TriangleMesh, eps_list):
+    """For each eps, the image of ``mesh`` under (x, y) -> (x, eps y) and its system,
+    from one ``assemble(mesh)``: on its pattern K = eps (K - Ky) + Ky / eps, Ky the
+    y part, and M = eps M; B is rebuilt from the stretched boundary edges."""
+    system = assemble(mesh)
     _, pattern, btriples, area, _, gy = _element_terms(mesh)
     ky = np.einsum("e,eab,ijab->eij", area, gy[:, :, None] * gy[:, None], _STIFF_REF).ravel()
     ky = sparse.coo_matrix((ky, pattern), shape=system.K.shape).tocsc().data   # K's pattern
@@ -141,4 +143,5 @@ def _stretched(mesh: TriangleMesh, system: FEMSystem, eps_list):
         nodes = system.nodes * [1.0, eps]
         Ke, Me = (sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
                   for data in (eps * kx + ky / eps, eps * system.M.data))
-        yield FEMSystem(nodes, system.boundary_dofs, Ke, Me, _boundary_mass(nodes, btriples))
+        yield (TriangleMesh(mesh.nodes * [1.0, eps], mesh.triangles),
+               FEMSystem(nodes, system.boundary_dofs, Ke, Me, _boundary_mass(nodes, btriples)))

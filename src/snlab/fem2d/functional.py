@@ -22,7 +22,7 @@ from .. import geom2d, profiles, sl1d
 from ..geom2d import ConvexPolygon
 from ..profiles import ProfileH
 from .assemble import FEMSystem, _stretched, assemble
-from .mesh import TriangleMesh, _require_positive, polygon_mesh, refine, thin_mesh
+from .mesh import _require_positive, polygon_mesh, refine, thin_mesh
 from .solve import neumann_mu1, steklov_sigma1
 
 # the reported fields of a record, in output order (``as_dict``, the diagram CSV)
@@ -140,15 +140,19 @@ class ThinSweep:
 
 def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
                dx0: float = 0.005, elements_1d: int = 2048) -> ThinSweep:
+    """Records of the strips -eps hminus <= y <= eps hplus for the decreasing
+    ``eps_list`` (at least three values, each finite and positive, all checked
+    before any solve), their Aitken limits, and the 1D limits of
+    hplus + hminus with ``elements_1d`` elements.  The unit strip is meshed
+    once with column step ``dx0`` and stretched to each eps; each strip's
+    geometry is that of ``geom2d.thin_domain``."""
     eps_arr = tuple(float(e) for e in eps_list)
     if len(eps_arr) < 3 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("need a decreasing list of at least three eps values")
     for eps in eps_arr:
         _require_positive(eps=eps)
-    ref = thin_mesh(hplus, hminus, 1.0, dx0=dx0)
     rows = []
-    for eps, system in zip(eps_arr, _stretched(ref, assemble(ref), eps_arr)):
-        mesh = TriangleMesh(ref.nodes * [1.0, eps], ref.triangles)
+    for eps, (mesh, system) in zip(eps_arr, _stretched(thin_mesh(hplus, hminus, dx0), eps_arr)):
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
         rec = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
         rows.append((rec.mu1, 2.0 * rec.sigma1 / eps, rec.F))

@@ -18,13 +18,14 @@ scaled polygons receive congruent or scaled meshes and normalized spectral
 quantities are invariant to machine precision, not just to discretization
 accuracy.
 
-Thin strips between two profile graphs get a structured anisotropic mesh:
+The unit strip -hminus <= y <= hplus gets a structured anisotropic mesh:
 marching columns in x (graded by the local thickness, so degenerate tips are
 approached gracefully) with ``THIN_LAYERS`` cross layers.  Columns of zero
 thickness collapse to a single node and are connected by fans.  Node columns
-and column-pair triangles are built as whole arrays, counterclockwise.
+and column-pair triangles are built as whole arrays, counterclockwise.  The
+strip of thickness eps is this mesh stretched by (x, y) -> (x, eps y).
 
-Mesh sizes (``hmax``, ``eps``, ``dx0``) must be finite and positive and allow
+Mesh sizes (``hmax``, ``dx0``) must be finite and positive and allow
 at most ``MAX_THIN_COLUMNS`` strip columns; anything else, and any empty or
 non-finite mesh, raises ``MeshError``.
 """
@@ -133,13 +134,6 @@ def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
             - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
 
 
-def _orient_ccw(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    flip = _signed_areas(nodes, tris) < 0
-    tris = tris.copy()
-    tris[flip] = tris[flip][:, [0, 2, 1]]
-    return tris
-
-
 def _boundary_ring(vertices: np.ndarray, h: float) -> np.ndarray:
     """Each edge a -> b split into nseg pieces at t = k / nseg, k < nseg (the
     next edge supplies b)."""
@@ -175,7 +169,8 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
 
 
 def _delaunay(points: np.ndarray) -> np.ndarray:
-    """qhull's triangulation of ``points``, positively oriented.
+    """qhull's triangulation of ``points``, counterclockwise as scipy
+    documents for 2-D ``Delaunay.simplices``.
 
     Subdividing a straight polygon edge puts exactly collinear points on the
     hull, and qhull covers such runs with zero-area caps; every triangle with
@@ -188,7 +183,7 @@ def _delaunay(points: np.ndarray) -> np.ndarray:
     tris = tris[np.abs(_signed_areas(points, tris)) > 1e-10 * scale * scale]
     if not np.bincount(tris.ravel(), minlength=len(points)).all():
         raise MeshError("triangulation leaves points unused")
-    return _orient_ccw(points, tris)
+    return tris
 
 
 def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
@@ -360,22 +355,21 @@ def _thin_columns(hplus: ProfileH, hminus: ProfileH, dx0: float) -> np.ndarray:
     return np.array(xs)
 
 
-def thin_mesh(hplus: ProfileH, hminus: ProfileH, eps: float, dx0: float) -> TriangleMesh:
-    """Structured anisotropic mesh of the strip -eps*hminus <= y <= eps*hplus.
+def thin_mesh(hplus: ProfileH, hminus: ProfileH, dx0: float) -> TriangleMesh:
+    """Structured anisotropic mesh of the unit strip -hminus <= y <= hplus.
 
     Anisotropy is intentional: the spectral quantities of interest vary slowly
     across the strip, and slab-aligned elements keep the degree-of-freedom
-    count bounded as eps -> 0.  The isotropic quality floor does not apply.
+    count bounded when the strip is stretched to thickness eps -> 0.  The
+    isotropic quality floor does not apply.
     """
-    _require_positive(eps=eps, dx0=dx0)
+    _require_positive(dx0=dx0)
     xs = _thin_columns(hplus, hminus, dx0)
-    top = eps * hplus(xs)
-    bot = -eps * hminus(xs)
+    top, bot = hplus(xs), -hminus(xs)
     thick = top - bot
-    tiny = 1e-13 * eps * max(thick.max(), 1.0)
 
     # a column is THIN_LAYERS + 1 nodes bottom to top, or one node where it has no thickness
-    full = thick > tiny
+    full = thick > 1e-13 * max(thick.max(), 1.0)
     if np.any(~full[:-1] & ~full[1:]):
         raise MeshError("two adjacent degenerate columns; decrease dx0")
     size = np.where(full, THIN_LAYERS + 1, 1)

@@ -7,7 +7,10 @@ Toussaint's rotating calipers); the inradius and Chebyshev center from the
 straight skeleton.  Thin domains are built from a pair of profiles as
 {(x, y): -eps h_minus(x) <= y <= eps h_plus(x)}; for concave profiles the
 result is convex and, since profiles are piecewise linear, the polygon is the
-exact domain rather than a sampling of it.
+exact domain rather than a sampling of it.  A turn is straight, so pruned and
+refused, when its cross product is at most ``COLLINEAR_TOL`` |area| / pi, the
+squared radius of the disk of equal area; both sides scale by det A under a
+linear map A, so thin domains at every eps are one polygon stretched in y.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ class ConvexPolygon:
             raise GeometryError("need an (n, 2) array with n >= 3")
         if not np.all(np.isfinite(v)):
             raise GeometryError("non-finite vertex coordinates")
-        scale = float(np.abs(v).max())
-        cross = _edge_crosses(v)
-        if np.any(cross <= COLLINEAR_TOL * max(scale * scale, 1e-30)):
+        if np.any(_edge_crosses(v) <= _collinear_floor(v)):
             raise GeometryError("vertices must be strictly convex and counterclockwise")
         object.__setattr__(self, "vertices", v.copy())
         self.vertices.setflags(write=False)
@@ -58,18 +59,20 @@ def _edge_crosses(v: np.ndarray) -> np.ndarray:
     return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
 
 
+def _collinear_floor(v: np.ndarray) -> float:
+    d = v - v[0]
+    return COLLINEAR_TOL * abs(float(d[:-1, 0] @ d[1:, 1] - d[:-1, 1] @ d[1:, 0])) / (2 * np.pi)
+
+
 def prune_collinear(points: np.ndarray) -> np.ndarray:
     """Drop vertices whose adjacent edges are collinear (or reflex-degenerate)."""
     v = np.asarray(points, dtype=float)
-    scale = max(float(np.abs(v).max()) ** 2, 1e-30)
-    for _ in range(v.shape[0]):
-        if v.shape[0] < 3:
-            raise GeometryError("pruning collapsed the polygon")
-        keep = np.roll(_edge_crosses(v), 1) > COLLINEAR_TOL * scale
+    while v.shape[0] >= 3:           # each pass returns or drops a vertex
+        keep = np.roll(_edge_crosses(v), 1) > _collinear_floor(v)
         if np.all(keep):
             return v
         v = v[keep]
-    raise GeometryError("pruning did not stabilize")
+    raise GeometryError("pruning collapsed the polygon")
 
 
 def convex_hull(points) -> np.ndarray:
@@ -172,6 +175,8 @@ def inradius(p: ConvexPolygon) -> tuple[float, np.ndarray]:
         b1, b2, f = nx[b] - nx[a], ny[b] - ny[a], off[b] - off[a]
         c1, c2, g = nx[c] - nx[a], ny[c] - ny[a], off[c] - off[a]
         det = b1 * c2 - b2 * c1
+        if det == 0.0:
+            raise GeometryError("inradius: too thin, adjacent edge normals agree to rounding")
         x, y = (f * c2 - b2 * g) / det, (b1 * g - f * c1) / det
         return nx[a] * x + ny[a] * y - off[a], x, y
 
@@ -229,7 +234,7 @@ def thin_domain(hplus: ProfileH, hminus: ProfileH, eps: float) -> ConvexPolygon:
     arr = np.vstack([np.column_stack([xs, -eps * hminus(xs)]),
                      np.column_stack([xs[::-1], (eps * hplus(xs))[::-1]])])
     # drop consecutive duplicates (degenerate tips where both chains meet)
-    arr = arr[~np.isclose(np.roll(arr, 1, axis=0), arr, atol=1e-15).all(axis=1)]
+    arr = arr[~np.isclose(np.roll(arr, 1, axis=0), arr, rtol=0.0, atol=1e-15).all(axis=1)]
     return ConvexPolygon(prune_collinear(arr))
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from snlab import diagram, geom2d, profiles
-from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1, thin_mesh
+from snlab.fem2d import (TriangleMesh, assemble, neumann_mu1, polygon_mesh, steklov_sigma1,
+                         thin_mesh)
 
 
 def solve_shape(spec: str, hmax: float) -> dict:
@@ -23,6 +24,13 @@ def solve_shape(spec: str, hmax: float) -> dict:
     }
 
 
+def strip_mesh(hplus, hminus, eps: float, dx0: float) -> TriangleMesh:
+    """The strip -eps hminus <= y <= eps hplus as ``thin_sweep`` meshes it: the
+    unit strip's mesh stretched by (x, y) -> (x, eps y)."""
+    unit = thin_mesh(hplus, hminus, dx0)
+    return TriangleMesh(unit.nodes * [1.0, eps], unit.triangles)
+
+
 def drift_corpus() -> dict:
     """The corpus on which changes to meshing or solving measure their drift:
     name -> zero-argument function that meshes the domain.
@@ -32,7 +40,8 @@ def drift_corpus() -> dict:
       family, named by their campaign ids;
     - the nine strips of the ``thin`` benchmark workload, halves of tent 0.5,
       tent 0.3 and the constant at eps 0.2, 0.1 and 0.05, dx0 0.005;
-    - the parabolic strip at eps 0.2, dx0 0.005 (36k dofs).
+    - the parabolic strip at eps 0.2, dx0 0.005 (36k dofs);
+    the strips are ``strip_mesh``es, the meshes that ``thin_sweep`` solves.
     """
     corpus = {}
     campaigns = [("seed7-", diagram.Campaign("randomPolygon", 40, seed=7, hmax=0.03))]
@@ -47,7 +56,7 @@ def drift_corpus() -> dict:
               for eps in (0.2, 0.1, 0.05)] + [("parabolic", 0.2)]
     for label, eps in strips:
         half = profiles.scale(halves[label], 0.5)
-        corpus[f"strip-{label}-{eps}"] = lambda half=half, eps=eps: thin_mesh(
+        corpus[f"strip-{label}-{eps}"] = lambda half=half, eps=eps: strip_mesh(
             half, half, eps, dx0=0.005)
     return corpus
 

@@ -1,10 +1,12 @@
 """Domain records and collapsing-domain sweeps against the 1D limits."""
 
+import importlib
 import json
 import math
 
 import numpy as np
 import pytest
+from conftest import strip_mesh
 
 from snlab import bessel, geom2d, profiles
 from snlab.cli import main
@@ -13,6 +15,9 @@ from snlab.fem2d import (F_of_domain, MeshError, assemble, functional, polygon_m
                          thin_mesh, thin_sweep)
 from snlab.fem2d.assemble import _stretched
 from snlab.fem2d.functional import aitken
+
+# the package's ``assemble`` function shadows its module
+assemble_mod = importlib.import_module("snlab.fem2d.assemble")
 
 
 def test_record_fields_consistent(hull_polygon):
@@ -105,11 +110,11 @@ STRIP_PAIRS["one-sided tent:0.3"] = (profiles.triangular(0.3),
 
 
 def sweep_by_eps_loop(hplus, hminus, eps_list, dx0):
-    """``thin_sweep`` before it shared one strip: every eps meshed and assembled."""
+    """``thin_sweep`` before it shared one system: every stretched strip assembled."""
     mu, scaled, F = [], [], []
     for eps in eps_list:
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
-        rec = record_from_mesh(thin_mesh(hplus, hminus, eps, dx0=dx0), geo)
+        rec = record_from_mesh(strip_mesh(hplus, hminus, eps, dx0=dx0), geo)
         mu.append(rec.mu1)
         scaled.append(2.0 * rec.sigma1 / eps)
         F.append(rec.F)
@@ -120,11 +125,11 @@ def sweep_by_eps_loop(hplus, hminus, eps_list, dx0):
 def test_stretched_strip_matches_assembly_at_each_eps(name):
     hplus, hminus = STRIP_PAIRS[name]
     eps_list = (0.2, 0.05, 1e-3)
-    ref = thin_mesh(hplus, hminus, 1.0, dx0=0.01)
-    for eps, got in zip(eps_list, _stretched(ref, assemble(ref), eps_list)):
-        mesh = thin_mesh(hplus, hminus, eps, dx0=0.01)
-        # degenerate tip columns classify as at eps = 1: the same triangles
-        assert np.array_equal(mesh.triangles, ref.triangles)
+    unit = thin_mesh(hplus, hminus, dx0=0.01)
+    for eps, (mesh, got) in zip(eps_list, _stretched(unit, eps_list)):
+        strip = strip_mesh(hplus, hminus, eps, dx0=0.01)
+        assert np.array_equal(mesh.nodes, strip.nodes)
+        assert np.array_equal(mesh.triangles, strip.triangles)
         want = assemble(mesh)
         assert np.array_equal(got.boundary_dofs, want.boundary_dofs)
         assert np.allclose(got.nodes, want.nodes, rtol=0.0, atol=1e-15)
@@ -151,6 +156,8 @@ def test_thin_sweep_matches_the_per_eps_loop(name):
 
 
 def test_thin_sweep_meshes_and_assembles_once(monkeypatch):
+    """``assemble`` is counted in its own module, where ``_stretched`` calls it,
+    and where ``functional`` imported it."""
     calls = {"thin_mesh": 0, "assemble": 0}
 
     def counting(name, original):
@@ -159,8 +166,9 @@ def test_thin_sweep_meshes_and_assembles_once(monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(functional, name, counting(name, getattr(functional, name)))
+    for module, name in ((functional, "thin_mesh"), (functional, "assemble"),
+                         (assemble_mod, "assemble")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     half = _HALF["tent:0.5"]
     thin_sweep(half, half, (0.2, 0.1, 0.05, 0.025), dx0=0.05, elements_1d=64)
     assert calls == {"thin_mesh": 1, "assemble": 1}

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import drift_corpus
+from conftest import drift_corpus, strip_mesh
 
 from snlab import diagram, geom2d, profiles
 from snlab.fem2d import mesh as mesh_mod
@@ -97,14 +97,14 @@ def test_degenerate_mesh_rejected():
 def test_thin_mesh_area_matches_profile_mass():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
     eps = 0.1
-    mesh = thin_mesh(half, half, eps, dx0=0.02)
+    mesh = strip_mesh(half, half, eps, dx0=0.02)
     assert _areas(mesh).sum() == pytest.approx(eps, rel=1e-6)
     assert np.all(_areas(mesh) > 0.0)
 
 
 def test_thin_mesh_degenerate_tips_collapse_to_single_nodes():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
-    mesh = thin_mesh(half, half, 0.2, dx0=0.05)
+    mesh = thin_mesh(half, half, dx0=0.05)
     xs = mesh.nodes[:, 0]
     assert np.sum(np.isclose(xs, 0.0)) == 1
     assert np.sum(np.isclose(xs, 1.0)) == 1
@@ -112,7 +112,7 @@ def test_thin_mesh_degenerate_tips_collapse_to_single_nodes():
 
 def test_thin_mesh_rectangle_node_layout():
     half = profiles.scale(profiles.constant(), 0.5)
-    mesh = thin_mesh(half, half, 0.125, dx0=0.25)
+    mesh = strip_mesh(half, half, 0.125, dx0=0.25)
     # column spacing follows dx0, not eps (DOF count stays bounded as eps -> 0)
     cols = np.unique(np.round(mesh.nodes[:, 0], 12))
     assert np.allclose(cols, [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -123,7 +123,7 @@ def test_thin_mesh_rectangle_node_layout():
 
 def test_thin_mesh_grades_columns_toward_degenerate_tips():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
-    mesh = thin_mesh(half, half, 0.1, dx0=0.2)
+    mesh = strip_mesh(half, half, 0.1, dx0=0.2)
     cols = np.unique(np.round(mesh.nodes[:, 0], 12))
     dx = np.diff(cols)
     # steps shrink where the unscaled span h+ + h- does (near the tips)
@@ -135,7 +135,7 @@ def test_thin_mesh_grades_columns_toward_degenerate_tips():
 
 def test_thin_mesh_snaps_to_profile_knots():
     half = profiles.scale(profiles.triangular(0.3), 0.5)
-    mesh = thin_mesh(half, half, 0.1, dx0=0.07)
+    mesh = thin_mesh(half, half, dx0=0.07)
     assert np.any(np.isclose(mesh.nodes[:, 0], 0.3, atol=1e-12))
 
 
@@ -143,18 +143,17 @@ HALF_TENT = profiles.scale(profiles.triangular(0.5), 0.5)
 
 
 @pytest.mark.parametrize("make", [
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=0),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, float("nan"), dx0=0.01),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=math.inf),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-300),
-    lambda: thin_mesh(HALF_TENT, HALF_TENT, 0.1, dx0=1e-7),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, dx0=0),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, dx0=math.inf),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, dx0=1e-300),
+    lambda: thin_mesh(HALF_TENT, HALF_TENT, dx0=1e-7),
     lambda: polygon_mesh(geom2d.resolve("square"), float("nan")),
     lambda: polygon_mesh(geom2d.resolve("square"), math.inf),
     lambda: polygon_mesh(geom2d.resolve("square"), 0.0),
     lambda: TriangleMesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=int)),
     lambda: TriangleMesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, np.nan]]),
                          np.array([[0, 1, 2]])),
-], ids=["dx0-zero", "eps-nan", "dx0-inf", "dx0-1e-300", "dx0-1e-7", "hmax-nan",
+], ids=["dx0-zero", "dx0-inf", "dx0-1e-300", "dx0-1e-7", "hmax-nan",
         "hmax-inf", "hmax-zero", "no-triangles", "nan-node"])
 def test_degenerate_inputs_raise_mesh_error(make):
     with pytest.raises(MeshError):
@@ -189,6 +188,14 @@ def _smooth_by_vertex_loop(points, n_fixed, rounds):
         points = new
         tri = mesh_mod.Delaunay(points)
     return points, tri.simplices
+
+
+def _orient_ccw(nodes, tris):
+    """``tris`` with every clockwise triangle reversed."""
+    flip = mesh_mod._signed_areas(nodes, tris) < 0
+    tris = tris.copy()
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return tris
 
 
 def _repair_slivers_by_edge_dict(pts, tris):
@@ -234,7 +241,7 @@ def _repair_slivers_by_edge_dict(pts, tris):
             break
         work = np.array([tuple(t) for ti, t in enumerate(work)
                          if ti not in replaced] + fans, dtype=tris.dtype)
-    return mesh_mod._orient_ccw(pts, work)
+    return _orient_ccw(pts, work)
 
 
 def _p2_connectivity_by_dict(mesh):
@@ -252,12 +259,12 @@ def _p2_connectivity_by_dict(mesh):
     return nodes, tri6, btriples
 
 
-def _thin_mesh_by_column_loop(hplus, hminus, eps, dx0):
+def _thin_mesh_by_column_loop(hplus, hminus, dx0):
     layers = THIN_LAYERS
     xs = mesh_mod._thin_columns(hplus, hminus, dx0)
-    top, bot = eps * hplus(xs), -eps * hminus(xs)
+    top, bot = hplus(xs), -hminus(xs)
     thick = top - bot
-    tiny = 1e-13 * eps * max(thick.max(), 1.0)
+    tiny = 1e-13 * max(thick.max(), 1.0)
     nodes, cols = [], []
     for x, yb, yt, t in zip(xs, bot, top, thick):
         start = sum(c.size for c in cols)
@@ -278,7 +285,7 @@ def _thin_mesh_by_column_loop(hplus, hminus, eps, dx0):
         else:
             for j in range(layers):
                 tris += [(left[j], right[j], right[j + 1]), (left[j], right[j + 1], left[j + 1])]
-    return allnodes, mesh_mod._orient_ccw(allnodes, np.array(tris, dtype=np.int64))
+    return allnodes, _orient_ccw(allnodes, np.array(tris, dtype=np.int64))
 
 
 def _assert_p2_matches_dict_route(mesh):
@@ -426,7 +433,8 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     def checked_delaunay(pts):
         got = delaunay(pts)
         want = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
-        assert np.array_equal(got, mesh_mod._orient_ccw(pts, want))
+        # qhull's simplices are counterclockwise: ``_delaunay`` does not orient them
+        assert np.array_equal(got, _orient_ccw(pts, want))
         seen.append(len(got))
         return got
 
@@ -591,25 +599,25 @@ def _halves(h):
     return profiles.scale(h, 0.5), profiles.scale(h, 0.5)
 
 
-@pytest.mark.parametrize("hplus, hminus, eps, dx0", [
-    (*_halves(profiles.triangular(0.5)), 0.2, 0.005),
-    (*_halves(profiles.triangular(0.3)), 0.1, 0.005),
-    (*_halves(profiles.constant()), 0.05, 0.005),
-    (*_halves(profiles.resolve("parabolic")), 0.2, 0.005),
-    (*_halves(profiles.triangular(0.5)), 0.2, 0.05),
-    (*_halves(profiles.constant()), 0.125, 0.25),
-    (*_halves(profiles.triangular(0.5)), 0.1, 0.2),
+@pytest.mark.parametrize("hplus, hminus, dx0", [
+    (*_halves(profiles.triangular(0.5)), 0.005),
+    (*_halves(profiles.triangular(0.3)), 0.005),
+    (*_halves(profiles.constant()), 0.005),
+    (*_halves(profiles.resolve("parabolic")), 0.005),
+    (*_halves(profiles.triangular(0.5)), 0.05),
+    (*_halves(profiles.constant()), 0.25),
+    (*_halves(profiles.triangular(0.5)), 0.2),
     (profiles.scale(profiles.triangular(0.2), 0.7),
-     profiles.scale(profiles.resolve("parabolic"), 0.3), 0.2, 0.005),
-    (profiles.triangular(0.3), profiles.scale(profiles.constant(), 0.0), 0.1, 0.005),
-    (profiles.scale(profiles.constant(), 0.0), profiles.triangular(0.3), 0.1, 0.005),
+     profiles.scale(profiles.resolve("parabolic"), 0.3), 0.005),
+    (profiles.triangular(0.3), profiles.scale(profiles.constant(), 0.0), 0.005),
+    (profiles.scale(profiles.constant(), 0.0), profiles.triangular(0.3), 0.005),
 ], ids=["tent", "tent0.3", "rectangle", "parabolic", "tips", "layout", "graded",
         "asymmetric", "above-only", "below-only"])
-def test_thin_mesh_array_routes_match_loop_references(hplus, hminus, eps, dx0):
+def test_thin_mesh_array_routes_match_loop_references(hplus, hminus, dx0):
     """The loop reference orients its triangles; the array route builds them
     counterclockwise, one-sided strips included."""
-    mesh = thin_mesh(hplus, hminus, eps, dx0=dx0)
-    nodes, tris = _thin_mesh_by_column_loop(hplus, hminus, eps, dx0)
+    mesh = thin_mesh(hplus, hminus, dx0=dx0)
+    nodes, tris = _thin_mesh_by_column_loop(hplus, hminus, dx0)
     assert np.array_equal(mesh.nodes, nodes)
     assert np.array_equal(mesh.triangles, tris)
     _assert_p2_matches_dict_route(mesh)

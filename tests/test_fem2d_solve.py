@@ -10,13 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import strip_mesh
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from snlab import diagram, geom2d, profiles
-from snlab.fem2d import (FEMError, assemble, neumann_mu1, polygon_mesh, refine,
-                         steklov_sigma1, thin_mesh)
+from snlab.fem2d import FEMError, assemble, neumann_mu1, polygon_mesh, refine, steklov_sigma1
 from snlab.fem2d import solve as fem_solve
 from snlab.fem2d.solve import RESIDUAL_TOL
 
@@ -136,7 +136,7 @@ def _schur_sigma1(system) -> float:
 
 def _tent_strip():
     half = profiles.scale(profiles.triangular(0.5), 0.5)
-    return thin_mesh(half, half, 0.1, dx0=0.02)     # boundary-heavy: 22% boundary dofs
+    return strip_mesh(half, half, 0.1, dx0=0.02)    # boundary-heavy: 22% boundary dofs
 
 
 @pytest.mark.parametrize("mesh_of", [
@@ -169,7 +169,7 @@ def test_parabolic_strip_steklov_solve_stays_sparse():
     """36k dofs, 8000 of them on the boundary, where one dense boundary block
     alone would take 512 MB; the residual certificate must still hold."""
     half = profiles.scale(profiles.resolve("parabolic"), 0.5)
-    system = assemble(thin_mesh(half, half, 0.2, dx0=0.005))
+    system = assemble(strip_mesh(half, half, 0.2, dx0=0.005))
     assert system.boundary_dofs.size >= 8000
     tracemalloc.start()
     try:
@@ -228,7 +228,7 @@ def _eigsh_first_nonzero(system, W, shift):
 
 def _parabolic_strip():
     half = profiles.scale(profiles.resolve("parabolic"), 0.5)
-    return thin_mesh(half, half, 0.2, dx0=0.005)
+    return strip_mesh(half, half, 0.2, dx0=0.005)
 
 
 def _campaign_mesh(i):

@@ -227,7 +227,7 @@ def thin_domain_loop(hplus, hminus, eps):
     arr = np.array(list(zip(xs, bot)) + list(zip(xs[::-1], top[::-1])))
     keep = np.ones(arr.shape[0], dtype=bool)
     for i in range(arr.shape[0]):
-        if np.allclose(arr[i], arr[(i + 1) % arr.shape[0]], atol=1e-15):
+        if np.allclose(arr[i], arr[(i + 1) % arr.shape[0]], rtol=0.0, atol=1e-15):
             keep[(i + 1) % arr.shape[0]] = False
     return geom2d.prune_collinear(arr[keep])
 
@@ -241,6 +241,57 @@ def test_thin_domain_matches_loop_form(name):
     lopsided = profiles.triangular(0.3)
     assert np.array_equal(geom2d.thin_domain(lopsided, half, 0.1).vertices,
                           thin_domain_loop(lopsided, half, 0.1))
+
+
+def test_thin_domain_keeps_knots_closer_than_numpy_default_rtol():
+    """Apexes 5e-7 apart in x are distinct vertices, not duplicates to merge."""
+    hplus, hminus = profiles.triangular(0.3), profiles.triangular(0.3000005)
+    poly = geom2d.thin_domain(hplus, hminus, 0.1)
+    assert poly.vertices.tolist() == [[0.3000005, -0.2], [1.0, 0.0], [0.3, 0.2], [0.0, 0.0]]
+    assert np.array_equal(poly.vertices, thin_domain_loop(hplus, hminus, 0.1))
+
+
+THIN_HALVES = ["tent:0.5", "tent:0.3", "const", "parabolic"]
+
+
+@pytest.mark.parametrize("one_sided", [False, True], ids=["symmetric", "one-sided"])
+@pytest.mark.parametrize("name", THIN_HALVES)
+def test_thin_domain_is_the_unit_domain_stretched(name, one_sided):
+    """The collinearity floor scales with the area, so every eps keeps the
+    vertices of eps = 1, stretched by (x, y) -> (x, eps y)."""
+    half = profiles.scale(profiles.resolve(name), 0.5)
+    hplus, hminus = ((profiles.resolve(name), profiles.scale(profiles.constant(), 0.0))
+                     if one_sided else (half, half))
+    unit = geom2d.thin_domain(hplus, hminus, 1.0).vertices
+    mass = hplus.integral() + hminus.integral()
+    for eps in (0.2, 1e-3, 1e-5):
+        poly = geom2d.thin_domain(hplus, hminus, eps)
+        assert np.array_equal(poly.vertices, unit * [1.0, eps])
+        assert geom2d.area(poly) == pytest.approx(eps * mass, rel=1e-12, abs=0.0)
+
+
+def test_convexity_test_is_translation_invariant():
+    square = geom2d.named("square").vertices
+    assert np.array_equal(ConvexPolygon(square + 1e6).vertices, square + 1e6)
+    assert np.array_equal(geom2d.prune_collinear(square + 1e6), square + 1e6)
+
+
+def test_collinearity_floor_on_fine_regular_polygons():
+    """Turns of the unit-circumradius n-gon are about (2 pi / n)^3, against the
+    floor COLLINEAR_TOL |area| / pi, about 1e-12."""
+    assert geom2d.regular_polygon(60000).n == 60000
+    with pytest.raises(GeometryError, match="strictly convex"):
+        geom2d.regular_polygon(70000)
+
+
+def test_inradius_of_a_too_thin_domain_is_a_geometry_error():
+    """The half-parabolic strip builds at eps 1e-6, but adjacent unit normals
+    of its edges agree to rounding and the skeleton cannot meet them."""
+    half = profiles.scale(profiles.resolve("parabolic"), 0.5)
+    poly = geom2d.thin_domain(half, half, 1e-6)
+    assert poly.n == 4000
+    with pytest.raises(GeometryError, match="inradius"):
+        geom2d.functionals(poly)
 
 
 # --- the rotating-caliper walks the antipodal table replaced, kept as references ---
@@ -397,9 +448,7 @@ def test_inradius_matches_lp_on_named_shapes():
 def test_inradius_matches_lp_on_thin_domains(name):
     half = profiles.scale(profiles.resolve(name), 0.5)
     zero = profiles.scale(profiles.constant(), 0.0)
-    # the 4000-knot parabolic domain cannot be built below eps = 0.005: its
-    # turns fall under COLLINEAR_TOL and pruning collapses it
-    for eps in (0.2, 0.05, 5e-3) if name == "parabolic" else (0.2, 0.05, 1e-3):
+    for eps in (0.2, 0.05, 1e-3):
         _assert_matches_lp(geom2d.thin_domain(half, half, eps))
         # one-sided: hminus = 0
         _assert_matches_lp(geom2d.thin_domain(profiles.resolve(name), zero, eps))
