@@ -2,10 +2,18 @@
 
 The admissible class consists of nonnegative concave functions h on [0, 1]
 with unit integral.  Profiles are stored as piecewise-linear interpolants so
-that integrals, projections and mesh transfers stay exact.  A ``ProfileH`` is
-only a container for a piecewise-linear function; membership in the admissible
-class is checked by :func:`validate` and enforced by the constructors that
-promise it.
+that integrals and mesh transfers stay exact.  A ``ProfileH`` is only a
+container for a piecewise-linear function; membership in the admissible class
+is checked by :func:`validate` and enforced by the constructors that promise
+it.
+
+On fixed knots the class has a coordinate description by *tent weights*.  A
+piecewise-linear h is concave exactly when no slope rises, and a concave h is
+nonnegative exactly when its two end values are.  So h is nonnegative and
+concave exactly when it is its chord plus a sum of tents, one per interior
+knot, with nonnegative weights: the two end values and the slope drop at each
+interior knot.  :func:`from_tents` and :func:`tent_weights` convert between
+the two descriptions.
 """
 
 from __future__ import annotations
@@ -14,10 +22,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 CONCAVITY_TOL = 1e-12
-_PROJECT_ROUNDS = 100            # alternations allowed in project_concave
 
 
 class ProfileError(ValueError):
@@ -149,36 +155,33 @@ def scale(h: ProfileH, k: float) -> ProfileH:
     return ProfileH(h.knots, k * h.values)
 
 
-def project_concave(values, knots) -> ProfileH:
-    """Nearest concave nonnegative profile to the given ordinates at ``knots``.
+def from_tents(weights, knots) -> ProfileH:
+    """The profile with tent weights ``weights`` on ``knots``; see the module docstring.
 
-    Slopes are made nonincreasing by a weighted ``isotonic_regression`` (pool
-    adjacent violators), the ordinate level is chosen by least squares, and
-    negatives are clamped at zero.  The two steps alternate until both
-    constraints hold.  The result is not renormalized; callers that need a
-    unit integral compose with :func:`normalize`.
+    ``weights`` holds h(0), h(1) and the slope drop at each interior knot.  The
+    ordinates are summed from slopes that never rise, so rounding adds no
+    convex kink.  The result is not renormalized.
     """
-    values = np.asarray(values, dtype=float)
-    knots = np.asarray(knots, dtype=float)
-    probe = ProfileH(knots, values)
-    if validate(probe).ok:
-        return probe
-    dx = np.diff(knots)
-    v = values.copy()
-    for _ in range(_PROJECT_ROUNDS):
-        s = np.diff(v) / dx
-        s_fit = isotonic_regression(s, weights=dx, increasing=False).x
-        shape = np.concatenate([[0.0], np.cumsum(s_fit * dx)])
-        level = float(np.mean(values - shape))
-        v = shape + level
-        np.clip(v, 0.0, None, out=v)
-        if validate(ProfileH(knots, v)).ok:
-            break
-    else:
-        raise ProfileError("concave projection did not converge")
-    if not np.any(v > 0):
-        raise ProfileError("concave projection collapsed to the zero profile")
-    return ProfileH(knots, v)
+    w = np.asarray(weights, dtype=float)
+    x = np.asarray(knots, dtype=float)
+    if w.ndim != 1 or w.shape != x.shape:
+        raise ProfileError("need one tent weight per knot")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ProfileError("tent weights must be finite and nonnegative")
+    drops = w[2:]
+    s0 = w[1] - w[0] + float(np.dot(drops, 1.0 - x[1:-1]))
+    slopes = s0 - np.concatenate([[0.0], np.cumsum(drops)])
+    return ProfileH(x, w[0] + np.concatenate([[0.0], np.cumsum(slopes * np.diff(x))]))
+
+
+def tent_weights(h: ProfileH) -> np.ndarray:
+    """Tent weights of h, the inverse of :func:`from_tents`: (h(0), h(1), slope
+    drops).  Negatives within rounding of zero, which :func:`validate`
+    tolerates, are set to zero; a non-admissible shape raises ``ProfileError``."""
+    if not validate(h).ok:
+        raise ProfileError("profile is not nonnegative and concave")
+    w = np.concatenate([h.values[[0, -1]], -np.diff(h.slopes())])
+    return np.maximum(w, 0.0)
 
 
 def random_profile(rng: np.random.Generator, n_knots: int = 33,

@@ -251,22 +251,15 @@ class OptimizeResult:
     evaluations: int
 
 
-def _project_eval(grid: np.ndarray, y: np.ndarray, elements: int):
-    try:
-        h = profiles.normalize(profiles.project_concave(y, knots=grid))
-    except (profiles.ProfileError, ValueError):
-        return None, None
-    return h, sl1d.F_of_h(h, elements)
-
-
 def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
                seed: int = 0, elements: int = 512) -> OptimizeResult:
-    """Pattern search over knot ordinates, projected into the admissible class,
-    with at most ``_MAX_SWEEPS`` sweeps per restart.
+    """Pattern search over the tent weights of a profile on uniform knots (see
+    ``profiles``), with at most ``_MAX_SWEEPS`` sweeps per restart.
 
-    Local and best-effort by design: every iterate is projected to a
-    nonnegative concave normalized profile, the value trace is monotone in the
-    chosen direction, and the step shrinks whenever no coordinate move helps.
+    Local and best-effort by design: each move is clamped at zero weight, so
+    every iterate is a nonnegative concave profile, normalized before it is
+    evaluated; the value trace is monotone in the chosen direction, and the
+    step shrinks whenever no coordinate move helps.
     """
     if knots < 5:
         raise ValueError("need at least 5 knots")
@@ -281,13 +274,10 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
     best = None
     evals = 0
     for r in range(restarts):
-        y = np.ones(knots) if r == 0 else \
-            np.asarray(profiles.random_profile(rng)(grid), dtype=float)
-        h, f = _project_eval(grid, y, elements)
+        y = np.ones(knots) if r == 0 else profiles.random_profile(rng)(grid)
+        h = profiles.normalize(ProfileH(grid, y))
+        w, f = profiles.tent_weights(h), sl1d.F_of_h(h, elements)
         evals += 1
-        if h is None:
-            continue
-        y = np.asarray(h(grid), dtype=float)
         trace = [f]
         step = _STEP0
         sweeps = 0
@@ -296,19 +286,20 @@ def optimize_F(knots: int = 21, mode: str = "min", restarts: int = 20,
             improved = False
             for i in range(knots):
                 for sgn in (1.0, -1.0):
-                    cand = y.copy()
-                    cand[i] += sgn * step
-                    hc, fc = _project_eval(grid, cand, elements)
+                    cand = w.copy()
+                    cand[i] = max(cand[i] + sgn * step, 0.0)
+                    if cand[i] == w[i] or not cand.any():
+                        continue
+                    hc = profiles.normalize(profiles.from_tents(cand, grid))
+                    fc = sl1d.F_of_h(hc, elements)
                     evals += 1
-                    if hc is not None and sign * fc < sign * f - 1e-14:
-                        y, f, h = np.asarray(hc(grid), dtype=float), fc, hc
+                    if sign * fc < sign * f - 1e-14:
+                        w, f, h = profiles.tent_weights(hc), fc, hc
                         trace.append(f)
                         improved = True
             if not improved:
                 step *= 0.5
         if best is None or sign * f < sign * best[1]:
             best = (h, f, tuple(trace))
-    if best is None:
-        raise RuntimeError("no admissible starting profile")
     return OptimizeResult(mode=mode, value=best[1], profile=best[0],
                           trace=best[2], evaluations=evals)

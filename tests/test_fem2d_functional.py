@@ -10,9 +10,9 @@ from conftest import strip_mesh
 
 from snlab import bessel, geom2d, profiles
 from snlab.cli import main
-from snlab.fem2d import (F_of_domain, MeshError, assemble, functional, polygon_mesh,
-                         record_from_mesh, record_from_system, refine, refinement_ladder,
-                         thin_mesh, thin_sweep)
+from snlab.fem2d import (F_of_domain, FEMError, MeshError, assemble, functional,
+                         polygon_mesh, record_from_mesh, record_from_system, refine,
+                         refinement_ladder, thin_mesh, thin_sweep)
 from snlab.fem2d.assemble import _stretched
 from snlab.fem2d.functional import aitken
 
@@ -185,6 +185,15 @@ def test_thin_sweep_rejects_bad_eps_before_any_solve(monkeypatch, eps_list):
     half = _HALF["const"]
     with pytest.raises(MeshError, match="eps must be finite and positive"):
         thin_sweep(half, half, eps_list, dx0=0.05)
+
+
+@pytest.mark.xfail(strict=True, raises=FEMError,
+                   reason="ROADMAP item 7: the relative residual's rounding floor grows like "
+                          "1/eps^2; the parabolic strip at eps 0.004 reads 1.19e-9 > 1e-9")
+def test_parabolic_strip_certifies_below_eps_0005():
+    half = profiles.scale(profiles.parabolic_star(), 0.5)
+    sweep = thin_sweep(half, half, (0.004, 0.002, 0.001), dx0=0.02)
+    assert sweep.relative_gaps()["F"] <= 1e-3
 
 
 def test_record_from_mesh_is_assembly_then_record_from_system():

@@ -1,4 +1,4 @@
-"""Thickness-profile container, admissible-class checks, and projections."""
+"""Thickness-profile container, admissible-class checks, and tent weights."""
 
 import json
 
@@ -154,22 +154,36 @@ def test_positivity_constant_known_values_and_oracle():
         assert np.all(h(x) - k * x * (1.0 - x) >= -1e-9)
 
 
-def test_project_concave_fixes_violations_and_is_idempotent():
-    grid = np.linspace(0.0, 1.0, 21)
+def test_tent_weights_round_trip_random_profiles():
     rng = np.random.default_rng(5)
-    y = rng.random(21)
-    p = profiles.project_concave(y, knots=grid)
-    r = profiles.validate(p)
-    assert not any(kind in ("concavity", "negative") for kind, _, _ in r.violations)
-    again = profiles.project_concave(p.values, knots=grid)
-    assert np.allclose(again.values, p.values, atol=1e-12)
+    for _ in range(2000):
+        h = profiles.random_profile(rng, n_knots=int(rng.integers(3, 40)))
+        back = profiles.from_tents(profiles.tent_weights(h), h.knots)
+        assert np.abs(back.values - h.values).max() <= 1e-13
 
 
-def test_project_concave_keeps_concave_input_unchanged():
-    grid = np.linspace(0.0, 1.0, 15)
-    h = profiles.triangular(0.4)
-    p = profiles.project_concave(h(grid), knots=grid)
-    assert np.allclose(p.values, h(grid), atol=1e-12)
+def test_nonnegative_tent_weights_give_admissible_shapes():
+    rng = np.random.default_rng(6)
+    for _ in range(2000):
+        k = int(rng.integers(5, 41))
+        w = rng.exponential(size=k) * (rng.random(k) >= 0.3)
+        if not w.any():
+            w[0] = 1.0
+        assert profiles.validate(profiles.from_tents(w, np.linspace(0.0, 1.0, k))).ok
+
+
+def test_tent_weights_of_named_profiles():
+    assert profiles.tent_weights(profiles.constant()).tolist() == [1.0, 1.0]
+    # slope 8 up to the peak 2 at x0 = 1/4, then -8/3 down: a drop of 32/3
+    assert np.allclose(profiles.tent_weights(profiles.triangular(0.25)),
+                       [0.0, 0.0, 32.0 / 3.0], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("weights", [[1.0, -1e-3, 0.5], [1.0, np.nan, 0.5], [1.0, 1.0]],
+                         ids=["negative", "nan", "length"])
+def test_from_tents_rejects_bad_weights(weights):
+    with pytest.raises(ProfileError):
+        profiles.from_tents(weights, [0.0, 0.5, 1.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -204,27 +218,3 @@ def test_resolve_specs():
     assert np.allclose(profiles.resolve("parabolic")(x), 6 * x * (1 - x), atol=2e-6)
     with pytest.raises((ProfileError, ValueError, OSError)):
         profiles.resolve("no-such-profile")
-
-
-def pava_nonincreasing(y, w):
-    """Pool adjacent violators, the loop that project_concave's isotonic fit replaced."""
-    blocks = []                      # [mean, weight, count]
-    for yi, wi in zip(y, w):
-        blocks.append([yi, wi, 1])
-        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
-            m2, w2, c2 = blocks.pop()
-            m1, w1, c1 = blocks.pop()
-            blocks.append([(m1 * w1 + m2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
-    return np.repeat([b[0] for b in blocks], [b[2] for b in blocks])
-
-
-def test_isotonic_fit_matches_pava_loop():
-    from scipy.optimize import isotonic_regression
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        n = int(rng.integers(2, 40))
-        y = rng.normal(size=n) * 5.0
-        w = np.diff(np.sort(np.concatenate([[0.0, 1.0], rng.random(n - 1)])))
-        fit = isotonic_regression(y, weights=w, increasing=False).x
-        assert np.allclose(fit, pava_nonincreasing(y, w), rtol=0.0,
-                           atol=64 * np.finfo(float).eps * np.abs(y).max())
