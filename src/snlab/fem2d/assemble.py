@@ -63,6 +63,20 @@ _STIFF_REF = np.einsum("q,qia,qjb->ijab", QUAD_WEIGHTS, _G, _G)
 
 
 @dataclass(frozen=True)
+class BandLayout:
+    """Where K - sW goes in a LAPACK band array: dof ``order[i]`` is row and
+    column i of the permuted matrix, whose half-bandwidth is ``kl`` on both
+    sides, and the stored entries of K (and M) and of B sit at ``k_flat`` and
+    ``b_flat`` of the Fortran-ordered (3 kl + 1) x n array that ``dgbtrf``
+    factors, entry (i, j) in row 2 kl + i - j of column j."""
+
+    order: np.ndarray
+    kl: int
+    k_flat: np.ndarray
+    b_flat: np.ndarray
+
+
+@dataclass(frozen=True)
 class FEMSystem:
     """Assembled P2 system for one mesh."""
 
@@ -71,6 +85,7 @@ class FEMSystem:
     K: sparse.csc_matrix         # K and M share one indices and indptr:
     M: sparse.csc_matrix         # change them in place on neither
     B: sparse.csc_matrix         # own pattern, within boundary_dofs pairs
+    band: BandLayout | None = None   # set on stretched strips only
 
     @property
     def n_dofs(self) -> int:
@@ -112,8 +127,10 @@ def _boundary_mass(nodes: np.ndarray, btriples: np.ndarray) -> sparse.csc_matrix
     return sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(len(nodes),) * 2).tocsc()
 
 
-def assemble(mesh: TriangleMesh) -> FEMSystem:
-    nodes, pattern, btriples, area, gx, gy = _element_terms(mesh)
+def assemble(mesh: TriangleMesh, *, _terms=None) -> FEMSystem:
+    """The P2 system of ``mesh``; ``_terms``, when given, is its
+    ``_element_terms``, which a caller that needs them as well computed once."""
+    nodes, pattern, btriples, area, gx, gy = _element_terms(mesh) if _terms is None else _terms
     # C = Jinv Jinv^T per element, the sum of its x and y parts
     C = gx[:, :, None] * gx[:, None] + gy[:, :, None] * gy[:, None]
     ke = np.einsum("e,eab,ijab->eij", area, C, _STIFF_REF)
@@ -130,18 +147,42 @@ def assemble(mesh: TriangleMesh) -> FEMSystem:
                      B=_boundary_mass(nodes, btriples))
 
 
+def _band_layout(nodes: np.ndarray, K: sparse.csc_matrix, B: sparse.csc_matrix) -> BandLayout:
+    """The dofs in column order, sorted by x and then y: a strip is a chain of
+    columns, each coupled only to its neighbours, so K is narrowly banded."""
+    order = np.lexsort((nodes[:, 1], nodes[:, 0]))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+
+    def rows_cols(A):
+        return pos[A.indices], np.repeat(pos, np.diff(A.indptr))
+
+    (ki, kj), (bi, bj) = rows_cols(K), rows_cols(B)
+    kl = int(np.abs(ki - kj).max())    # B's entries lie on boundary edges, within K's
+    ldab = 3 * kl + 1
+    return BandLayout(order=order, kl=kl, k_flat=2 * kl + ki - kj + ldab * kj,
+                      b_flat=2 * kl + bi - bj + ldab * bj)
+
+
 def _stretched(mesh: TriangleMesh, eps_list):
     """For each eps, the image of ``mesh`` under (x, y) -> (x, eps y) and its system,
-    from one ``assemble(mesh)``: on its pattern K = eps (K - Ky) + Ky / eps, Ky the
-    y part, and M = eps M; B is rebuilt from the stretched boundary edges."""
-    system = assemble(mesh)
-    _, pattern, btriples, area, _, gy = _element_terms(mesh)
+    from one element pass shared with ``assemble(mesh)``: on its pattern
+    K = eps (K - Ky) + Ky / eps, Ky the y part, and M = eps M; B is rebuilt
+    from the stretched boundary edges.  Every system carries the band layout
+    of the unit strip's column order, which stretching leaves unchanged."""
+    terms = _element_terms(mesh)
+    system = assemble(mesh, _terms=terms)
+    _, pattern, btriples, area, _, gy = terms
     ky = np.einsum("e,eab,ijab->eij", area, gy[:, :, None] * gy[:, None], _STIFF_REF).ravel()
     ky = sparse.coo_matrix((ky, pattern), shape=system.K.shape).tocsc().data   # K's pattern
     K, kx = system.K, system.K.data - ky
+    band = None
     for eps in eps_list:
         nodes = system.nodes * [1.0, eps]
         Ke, Me = (sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
                   for data in (eps * kx + ky / eps, eps * system.M.data))
+        B = _boundary_mass(nodes, btriples)      # the same pattern at every eps
+        if band is None:
+            band = _band_layout(system.nodes, K, B)
         yield (TriangleMesh(mesh.nodes * [1.0, eps], mesh.triangles),
-               FEMSystem(nodes, system.boundary_dofs, Ke, Me, _boundary_mass(nodes, btriples)))
+               FEMSystem(nodes, system.boundary_dofs, Ke, Me, B, band))

@@ -48,7 +48,9 @@ class DomainRecord:
     sigma_residual: float
     mu_iterations: int           # Lanczos operator applications per solve
     sigma_iterations: int
-    mu_lu_nnz: int               # nonzeros of each solve's L and U factors
+    mu_lu_nnz: int               # entries of each solve's factor: SuperLU's L and U
+                                 # nonzeros, or on a stretched strip the band array's
+                                 # n (3 kl + 1)
     sigma_lu_nnz: int
     mu_shift: float              # each solve's shift; negative after a fallback
     sigma_shift: float

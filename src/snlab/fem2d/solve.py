@@ -7,12 +7,29 @@ constants in its kernel, and W is positive on constants.  Let X be the node
 coordinates, each column minus its W-weighted mean, and rho the smaller
 eigenvalue of the 2x2 pencil (X.K X, X.W X).  Linear functions lie in the P2
 space and X is W-orthogonal to the constants, so rho >= lambda_1 by min-max;
-s = ``_SHIFT_FRACTION`` * rho.  K - sW is scipy's sparse subtraction, which
-drops exact zeros; MMD would otherwise order them (on a strip they grew the
-factor by 23%).  SuperLU factors K - sW once, with the MMD ordering of its
-symmetric pattern, supernodes smaller than its defaults (``_RELAX``,
-``_PANEL``) and its threshold pivoting, which the indefinite K - sW needs
-(unpivoted, a disk's residual grew 25-fold).  The operator is
+s = ``_SHIFT_FRACTION`` * rho.  K - sW is factored once, by one of two
+factors, and the system chooses which:
+
+- A stretched strip, each system of ``thin_sweep``, carries a band layout
+  (``FEMSystem.band``).  A strip is a chain of columns: with its P2 dofs
+  sorted by x and then y, each couples only to its own and the neighbouring
+  columns, so K - sW is narrowly banded (half-bandwidth kl = 20 on every
+  strip measured).  Its entries are scattered straight from K's and W's
+  stored entries into LAPACK's (3 kl + 1) x n band array, which ``dgbtrf``
+  factors in place with partial pivoting; ``dgbtrs`` solves.  On the
+  tent-0.3 strip at eps 0.2 (3603 dofs, one BLAS thread) the factor took
+  1.0 ms against SuperLU's 2.0-2.6 ms, and a solve 0.13 ms against
+  0.15-0.17 ms.
+- Every other system goes to SuperLU, polygon meshes above all, whose band
+  stays wide: the square at hmax 0.03 (7953 dofs) has RCM half-bandwidth
+  267, and ``dgbtrf`` took 70-122 ms against SuperLU's 16 ms.  K - sW is
+  scipy's sparse subtraction, which drops exact zeros; MMD would otherwise
+  order them (on a strip they grew the factor by 23%).  SuperLU factors it
+  with the MMD ordering of its symmetric pattern, supernodes smaller than
+  its defaults (``_RELAX``, ``_PANEL``) and its threshold pivoting, which
+  the indefinite K - sW needs (unpivoted, a disk's residual grew 25-fold).
+
+The operator is
 
     OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
 
@@ -58,7 +75,7 @@ than v0, as ARPACK's ``dgetv0`` does when B may be singular: every basis
 vector then lies in the range of OP, the W-norms are true norms, and the
 infinite eigenvalues of the pencil (nu = 0) never enter.  No dense boundary
 block is formed, and the basis holds only the steps taken, so memory stays
-proportional to the sparse factor.
+proportional to the sparse or band factor.
 
 Residuals are always reported against the full pencil.
 """
@@ -69,10 +86,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.linalg.lapack import dstevd
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dstevd
 from scipy.sparse.linalg import splu
 
-from .assemble import FEMSystem
+from .assemble import BandLayout, FEMSystem
 
 RESIDUAL_TOL = 1e-9
 _MAX_STEPS = 100                 # Lanczos step cap; campaign and strip solves take 9-21
@@ -99,7 +116,8 @@ class EigenPair2D:
     residual: float
     eigenvector: np.ndarray = field(repr=False, compare=False, default=None)
     iterations: int = 0          # operator applications, the start included
-    lu_nnz: int = 0              # nonzeros of the L and U factors of K - sW
+    lu_nnz: int = 0              # entries of the factor of K - sW: SuperLU's L and U
+                                 # nonzeros, or the n (3 kl + 1) of the band array
     shift: float = 0.0           # s; negative after the guard's fallback
 
 
@@ -156,9 +174,43 @@ def _lanczos(solve, W, v0, z, kind: str):
     raise FEMError(f"{kind} Lanczos did not converge in {_MAX_STEPS} steps")
 
 
-def _first_nonzero(K, W, coords, kind: str) -> EigenPair2D:
+def _superlu(K, W, shift, kind: str):
+    """SuperLU's factor of the sparse difference K - sW: (solve, L and U nonzeros)."""
+    try:
+        lu = splu(K - shift * W, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
+    except RuntimeError as exc:   # singular factor
+        raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
+    # lu.nnz is L.nnz + U.nnz at relax 1 (no padded supernodes), without copies
+    return lu.solve, lu.nnz
+
+
+def _banded(K, W, w_flat, shift, band: BandLayout, kind: str):
+    """LAPACK's banded LU of K - sW in the column order ``band.order``, scattered
+    straight from K's and W's stored entries at ``band.k_flat`` and ``w_flat``:
+    (solve, band array entries)."""
+    kl, order = band.kl, band.order
+    ab = np.zeros((order.size, 3 * kl + 1)).T      # Fortran-ordered, factored in place
+    flat = ab.reshape(-1, order="F")               # a view of ab
+    flat[band.k_flat] = K.data
+    flat[w_flat] -= shift * W.data
+    ab, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
+    if info:
+        raise FEMError(f"{kind} eigensolve failed: banded LU info {info}")
+
+    def solve(b):
+        y, _ = dgbtrs(ab, kl, kl, b[order], piv, overwrite_b=1)
+        x = np.empty_like(y)
+        x[order] = y
+        return x
+
+    return solve, ab.size
+
+
+def _first_nonzero(K, W, coords, kind: str, band, w_flat) -> EigenPair2D:
     """Smallest nonzero eigenvalue of (K, W), CSC matrices, with the dofs at
-    ``coords``; certified by the guard and the full-pencil residual."""
+    ``coords``; certified by the guard and the full-pencil residual.  With a
+    ``band`` layout, in which W's entries sit at ``w_flat``, K - sW takes the
+    banded factor; with None, SuperLU's."""
     n = K.shape[0]
     w1 = W @ np.ones(n)
     X = coords - (w1 @ coords) / w1.sum()
@@ -168,25 +220,26 @@ def _first_nonzero(K, W, coords, kind: str) -> EigenPair2D:
     z = np.full(n, 1.0 / np.sqrt(w1.sum()))
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     for shift in (_SHIFT_FRACTION * rho, -0.5 * rho):
-        try:
-            lu = splu(K - shift * W, permc_spec="MMD_AT_PLUS_A", relax=_RELAX, panel_size=_PANEL)
-        except RuntimeError as exc:   # singular factor
-            raise FEMError(f"{kind} eigensolve failed: {exc}") from exc
-        nu, vec, steps = _lanczos(lu.solve, W, v0, z, kind)
+        if band is None:
+            solve, lu_nnz = _superlu(K, W, shift, kind)
+        else:
+            solve, lu_nnz = _banded(K, W, w_flat, shift, band, kind)
+        nu, vec, steps = _lanczos(solve, W, v0, z, kind)
         if nu[0] >= 0:               # no eigenvalue in (0, s)
             break
     lam = shift + 1.0 / float(nu[-1])
     res = _relative_residual(K, W, lam, vec)
     if res > RESIDUAL_TOL:
         raise FEMError(f"{kind} residual {res:.2e} above {RESIDUAL_TOL}")
-    # lu.nnz is L.nnz + U.nnz at relax 1 (no padded supernodes), without copies
     return EigenPair2D(eigenvalue=lam, residual=res, eigenvector=vec,
-                       iterations=steps, lu_nnz=lu.nnz, shift=shift)
+                       iterations=steps, lu_nnz=lu_nnz, shift=shift)
 
 
 def neumann_mu1(system: FEMSystem) -> EigenPair2D:
-    return _first_nonzero(system.K, system.M, system.nodes, "neumann")
+    m_flat = None if system.band is None else system.band.k_flat   # M lies on K's pattern
+    return _first_nonzero(system.K, system.M, system.nodes, "neumann", system.band, m_flat)
 
 
 def steklov_sigma1(system: FEMSystem) -> EigenPair2D:
-    return _first_nonzero(system.K, system.B, system.nodes, "steklov")
+    b_flat = None if system.band is None else system.band.b_flat
+    return _first_nonzero(system.K, system.B, system.nodes, "steklov", system.band, b_flat)

@@ -31,6 +31,17 @@ def strip_mesh(hplus, hminus, eps: float, dx0: float) -> TriangleMesh:
     return TriangleMesh(unit.nodes * [1.0, eps], unit.triangles)
 
 
+def drift_strips() -> dict:
+    """The strips of ``drift_corpus``: name -> (half profile, eps), each strip
+    -eps half <= y <= eps half meshed at dx0 0.005."""
+    halves = {"tent0.5": profiles.triangular(0.5), "tent0.3": profiles.triangular(0.3),
+              "constant": profiles.constant(), "parabolic": profiles.resolve("parabolic")}
+    strips = [(label, eps) for label in ("tent0.5", "tent0.3", "constant")
+              for eps in (0.2, 0.1, 0.05)] + [("parabolic", 0.2)]
+    return {f"strip-{label}-{eps}": (profiles.scale(halves[label], 0.5), eps)
+            for label, eps in strips}
+
+
 def drift_corpus() -> dict:
     """The corpus on which changes to meshing or solving measure their drift:
     name -> zero-argument function that meshes the domain.
@@ -50,14 +61,8 @@ def drift_corpus() -> dict:
     for prefix, campaign in campaigns:
         for sid, _, poly in diagram._sample_shapes(campaign):
             corpus[prefix + sid] = lambda poly=poly, hmax=campaign.hmax: polygon_mesh(poly, hmax)
-    halves = {"tent0.5": profiles.triangular(0.5), "tent0.3": profiles.triangular(0.3),
-              "constant": profiles.constant(), "parabolic": profiles.resolve("parabolic")}
-    strips = [(label, eps) for label in ("tent0.5", "tent0.3", "constant")
-              for eps in (0.2, 0.1, 0.05)] + [("parabolic", 0.2)]
-    for label, eps in strips:
-        half = profiles.scale(halves[label], 0.5)
-        corpus[f"strip-{label}-{eps}"] = lambda half=half, eps=eps: strip_mesh(
-            half, half, eps, dx0=0.005)
+    for name, (half, eps) in drift_strips().items():
+        corpus[name] = lambda half=half, eps=eps: strip_mesh(half, half, eps, dx0=0.005)
     return corpus
 
 

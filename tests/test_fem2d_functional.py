@@ -126,11 +126,14 @@ def test_stretched_strip_matches_assembly_at_each_eps(name):
     hplus, hminus = STRIP_PAIRS[name]
     eps_list = (0.2, 0.05, 1e-3)
     unit = thin_mesh(hplus, hminus, dx0=0.01)
+    bands = []
     for eps, (mesh, got) in zip(eps_list, _stretched(unit, eps_list)):
         strip = strip_mesh(hplus, hminus, eps, dx0=0.01)
         assert np.array_equal(mesh.nodes, strip.nodes)
         assert np.array_equal(mesh.triangles, strip.triangles)
         want = assemble(mesh)
+        assert want.band is None
+        bands.append(got.band)
         assert np.array_equal(got.boundary_dofs, want.boundary_dofs)
         assert np.allclose(got.nodes, want.nodes, rtol=0.0, atol=1e-15)
         for key in ("K", "M", "B"):
@@ -141,6 +144,8 @@ def test_stretched_strip_matches_assembly_at_each_eps(name):
         assert np.shares_memory(got.K.indptr, got.M.indptr)
         assert np.array_equal(got.K.indices, want.K.indices)
         assert np.array_equal(got.K.indptr, want.K.indptr)
+    # one band layout per sweep, shared by every eps
+    assert bands[0] is not None and all(band is bands[0] for band in bands)
 
 
 @pytest.mark.parametrize("name", STRIP_PAIRS)
@@ -157,8 +162,9 @@ def test_thin_sweep_matches_the_per_eps_loop(name):
 
 def test_thin_sweep_meshes_and_assembles_once(monkeypatch):
     """``assemble`` is counted in its own module, where ``_stretched`` calls it,
-    and where ``functional`` imported it."""
-    calls = {"thin_mesh": 0, "assemble": 0}
+    and where ``functional`` imported it; ``_element_terms``, the element pass,
+    runs once for both the assembly and the stretch's y part."""
+    calls = {"thin_mesh": 0, "assemble": 0, "_element_terms": 0}
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -167,11 +173,11 @@ def test_thin_sweep_meshes_and_assembles_once(monkeypatch):
         return wrapper
 
     for module, name in ((functional, "thin_mesh"), (functional, "assemble"),
-                         (assemble_mod, "assemble")):
+                         (assemble_mod, "assemble"), (assemble_mod, "_element_terms")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     half = _HALF["tent:0.5"]
     thin_sweep(half, half, (0.2, 0.1, 0.05, 0.025), dx0=0.05, elements_1d=64)
-    assert calls == {"thin_mesh": 1, "assemble": 1}
+    assert calls == {"thin_mesh": 1, "assemble": 1, "_element_terms": 1}
 
 
 @pytest.mark.parametrize("eps_list", [(0.2, 0.1, 0.0), (0.2, 0.1, -0.05),

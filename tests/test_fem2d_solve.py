@@ -10,14 +10,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import strip_mesh
+from conftest import drift_strips, strip_mesh
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from snlab import diagram, geom2d, profiles
-from snlab.fem2d import FEMError, assemble, neumann_mu1, polygon_mesh, refine, steklov_sigma1
+from snlab.fem2d import (F_of_domain, FEMError, assemble, neumann_mu1, polygon_mesh, refine,
+                         steklov_sigma1, thin_mesh, thin_sweep)
 from snlab.fem2d import solve as fem_solve
+from snlab.fem2d.assemble import _stretched
 from snlab.fem2d.solve import RESIDUAL_TOL
 
 PI2 = math.pi ** 2
@@ -325,15 +327,25 @@ def test_solves_leave_the_system_untouched(mesh_of):
     assert all(np.array_equal(a, b) for a, b in zip(before, arrays()))
 
 
-@pytest.mark.parametrize("mesh_of", [
-    lambda: polygon_mesh(geom2d.named("T1"), 0.1),
-    lambda: _campaign_mesh(0),
-], ids=["T1", "randomPolygon-0000"])
-def test_overshooting_shift_falls_back(monkeypatch, mesh_of):
+def _stretched_tent_strip():
+    """The tent-0.5 strip at eps 0.1 as ``thin_sweep`` builds it: a stretched
+    system with a band layout, which the banded factor solves."""
+    half = profiles.scale(profiles.triangular(0.5), 0.5)
+    (_, system), = _stretched(thin_mesh(half, half, 0.02), (0.1,))
+    assert system.band is not None
+    return system
+
+
+@pytest.mark.parametrize("system_of", [
+    lambda: assemble(polygon_mesh(geom2d.named("T1"), 0.1)),
+    lambda: assemble(_campaign_mesh(0)),
+    _stretched_tent_strip,
+], ids=["T1", "randomPolygon-0000", "stretched-tent-strip"])
+def test_overshooting_shift_falls_back(monkeypatch, system_of):
     """At 1.6 rho the shift lies above sigma_1, whose nu turns negative; the
     largest nu then belongs to a higher eigenvalue with a residual as small
     as any, so only the guard on the smallest Ritz value catches it."""
-    system = assemble(mesh_of())
+    system = system_of()
     expected = steklov_sigma1(system).eigenvalue
     monkeypatch.setattr(fem_solve, "_SHIFT_FRACTION", 1.6)
     pair = steklov_sigma1(system)
@@ -352,12 +364,13 @@ def test_nonpositive_shift_bound_raises():
 
 
 def test_lanczos_step_cap_raises(monkeypatch):
+    """On both factors: SuperLU's on T1 and the banded one on a stretched strip."""
     monkeypatch.setattr(fem_solve, "_MAX_STEPS", 3)
-    system = assemble(polygon_mesh(geom2d.named("T1"), 0.1))
-    with pytest.raises(FEMError, match="did not converge in 3 steps"):
-        neumann_mu1(system)
-    with pytest.raises(FEMError, match="did not converge in 3 steps"):
-        steklov_sigma1(system)
+    for system in (assemble(polygon_mesh(geom2d.named("T1"), 0.1)), _stretched_tent_strip()):
+        with pytest.raises(FEMError, match="did not converge in 3 steps"):
+            neumann_mu1(system)
+        with pytest.raises(FEMError, match="did not converge in 3 steps"):
+            steklov_sigma1(system)
 
 
 def test_lanczos_basis_grows_past_one_block(monkeypatch):
@@ -377,6 +390,20 @@ def test_tridiagonal_eigensolve_failure_raises(monkeypatch):
     monkeypatch.setattr(fem_solve, "dstevd", failing)
     system = assemble(polygon_mesh(geom2d.named("T1"), 0.1))
     with pytest.raises(FEMError, match="steklov tridiagonal eigensolve failed"):
+        steklov_sigma1(system)
+
+
+def test_banded_factor_failure_raises(monkeypatch):
+    """A singular band factor (LAPACK info > 0) fails as a singular SuperLU
+    factor does."""
+    def singular(ab, kl, ku, overwrite_ab=0):
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+
+    monkeypatch.setattr(fem_solve, "dgbtrf", singular)
+    system = _stretched_tent_strip()
+    with pytest.raises(FEMError, match="neumann eigensolve failed: banded LU info 1"):
+        neumann_mu1(system)
+    with pytest.raises(FEMError, match="steklov eigensolve failed: banded LU info 1"):
         steklov_sigma1(system)
 
 
@@ -412,3 +439,75 @@ def test_lanczos_breakdown_raises():
     v0 = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
     with pytest.raises(FEMError, match="broke down at step 2"):
         fem_solve._lanczos(lambda x: 2.0 * x, W, v0, z, "test")
+
+
+# --- two factors: LAPACK's banded LU on stretched strips, SuperLU elsewhere ---
+
+_DRIFT_STRIPS = drift_strips()
+_STRIP_PROFILES = sorted({name.rsplit("-", 1)[0] for name in _DRIFT_STRIPS})
+
+
+@pytest.mark.parametrize("profile", _STRIP_PROFILES)
+def test_band_and_superlu_factors_agree_on_the_drift_strips(profile):
+    """Each strip of ``drift_corpus``, as ``thin_sweep`` builds it, solved twice:
+    with its band layout, which takes the banded factor, and as the same
+    system without one, which takes SuperLU's."""
+    cases = [(half, eps) for name, (half, eps) in _DRIFT_STRIPS.items()
+             if name.rsplit("-", 1)[0] == profile]
+    half = cases[0][0]
+    for _, system in _stretched(thin_mesh(half, half, 0.005), [eps for _, eps in cases]):
+        plain = dataclasses.replace(system, band=None)
+        for solve in (neumann_mu1, steklov_sigma1):
+            banded, superlu = solve(system), solve(plain)
+            assert banded.lu_nnz == system.n_dofs * (3 * system.band.kl + 1)
+            assert banded.eigenvalue == pytest.approx(superlu.eigenvalue, rel=1e-11, abs=0.0)
+            assert banded.residual <= 2.0 * superlu.residual
+            assert banded.residual <= RESIDUAL_TOL
+
+
+def test_band_array_is_the_permuted_difference(monkeypatch):
+    """``dgbtrf`` receives (K - sW)[order][:, order] in LAPACK's band storage,
+    entry (i, j) in row 2 kl + i - j of column j, bit for bit, for both
+    pencils, with the kl rows of fill space zero; kl is the half-bandwidth of
+    that matrix."""
+    half = profiles.scale(profiles.triangular(0.5), 0.5)
+    (_, system), = _stretched(thin_mesh(half, half, 0.1), (0.1,))
+    kl, order, n = system.band.kl, system.band.order, system.n_dofs
+    handed, real_dgbtrf = [], fem_solve.dgbtrf
+
+    def recording_dgbtrf(ab, *args, **kwargs):
+        handed.append(ab.copy())
+        return real_dgbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(fem_solve, "dgbtrf", recording_dgbtrf)
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= kl)
+    for W, solve in ((system.M, neumann_mu1), (system.B, steklov_sigma1)):
+        pair = solve(system)
+        want = (system.K.toarray() - pair.shift * W.toarray())[order][:, order]
+        ab = handed[-1]
+        assert ab.shape == (3 * kl + 1, n)
+        assert not ab[:kl].any()
+        got = np.zeros((n, n))
+        got[i, j] = ab[2 * kl + i - j, j]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        rows, cols = np.nonzero(want)
+        assert np.abs(rows - cols).max() == kl
+
+
+def test_thin_sweep_never_reaches_splu(monkeypatch):
+    def no_splu(*args, **kwargs):
+        raise AssertionError("a stretched strip reached SuperLU")
+
+    monkeypatch.setattr(fem_solve, "splu", no_splu)
+    half = profiles.scale(profiles.triangular(0.3), 0.5)
+    sweep = thin_sweep(half, half, (0.2, 0.1, 0.05), dx0=0.05, elements_1d=64)
+    assert sweep.relative_gaps()["F"] <= 1e-2
+
+
+def test_polygon_never_reaches_dgbtrf(monkeypatch):
+    def no_dgbtrf(*args, **kwargs):
+        raise AssertionError("a polygon reached the banded factor")
+
+    monkeypatch.setattr(fem_solve, "dgbtrf", no_dgbtrf)
+    record = F_of_domain(geom2d.named("T1"), hmax=0.1)
+    assert record.F == pytest.approx(1.962, abs=0.02)
