@@ -60,6 +60,8 @@ _N = _shape_values(QUAD_POINTS)
 _MASS_REF = np.einsum("q,qi,qj->ij", QUAD_WEIGHTS, _N, _N)
 _G = _shape_gradients(QUAD_POINTS)
 _STIFF_REF = np.einsum("q,qia,qjb->ijab", QUAD_WEIGHTS, _G, _G)
+# (ab, ij) columns: an element's 36 stiffness entries are its 4 entries of area C times this
+_STIFF_COLS = np.ascontiguousarray(_STIFF_REF.reshape(36, 4).T)
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,19 @@ def _boundary_mass(nodes: np.ndarray, btriples: np.ndarray) -> sparse.csc_matrix
     return sparse.coo_matrix((be.ravel(), (brows, bcols)), shape=(len(nodes),) * 2).tocsc()
 
 
+def _stiffness(area: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Per element the 36 entries of sum_ab area C[ab] R[ij ab], R = ``_STIFF_REF``."""
+    return (area[:, None, None] * C).reshape(-1, 4) @ _STIFF_COLS
+
+
 def assemble(mesh: TriangleMesh, *, _terms=None) -> FEMSystem:
     """The P2 system of ``mesh``; ``_terms``, when given, is its
     ``_element_terms``, which a caller that needs them as well computed once."""
     nodes, pattern, btriples, area, gx, gy = _element_terms(mesh) if _terms is None else _terms
     # C = Jinv Jinv^T per element, the sum of its x and y parts
     C = gx[:, :, None] * gx[:, None] + gy[:, :, None] * gy[:, None]
-    ke = np.einsum("e,eab,ijab->eij", area, C, _STIFF_REF)
-    me = area[:, None, None] * _MASS_REF
+    ke = _stiffness(area, C)
+    me = area[:, None] * _MASS_REF.ravel()
 
     n = nodes.shape[0]
     # one conversion sorts the pattern and sums duplicates for K (real part) and
@@ -173,7 +180,7 @@ def _stretched(mesh: TriangleMesh, eps_list):
     terms = _element_terms(mesh)
     system = assemble(mesh, _terms=terms)
     _, pattern, btriples, area, _, gy = terms
-    ky = np.einsum("e,eab,ijab->eij", area, gy[:, :, None] * gy[:, None], _STIFF_REF).ravel()
+    ky = _stiffness(area, gy[:, :, None] * gy[:, None]).ravel()
     ky = sparse.coo_matrix((ky, pattern), shape=system.K.shape).tocsc().data   # K's pattern
     K, kx = system.K, system.K.data - ky
     band = None

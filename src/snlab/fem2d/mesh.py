@@ -4,10 +4,19 @@ General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
 Delaunay triangulation, and a few rounds of Laplacian smoothing.  Convexity
 makes Delaunay exact: the triangulated hull of the point set is the polygon
-itself.  qhull triangulates the points once and its zero-area caps on
-collinear boundary points are dropped there; from then on vectorized Lawson
-edge flips, with a final pass after the last round, keep the triangulation
-Delaunay and check that no element inverts, at a fraction of a qhull call.
+itself.  qhull triangulates the points once, a copy of them jittered by
+``_JITTER`` (1e-10) of their bounding-box diagonal from a generator seeded
+with ``_JITTER_SEED``, since the exact lattice's ties cost qhull about half
+its time; the triangles that are flat on the exact points (qhull's caps on
+collinear boundary points) are dropped there.  From then on vectorized
+Lawson edge flips, with a final pass after the last round, keep the
+triangulation Delaunay and check that no element inverts, at a fraction of a
+qhull call.  The flips settle every in-circle tie on the diagonal through
+the quad's lowest point index (a symbolic perturbation, Edelsbrunner &
+Muecke 1990), and the triangles are returned in a canonical order, each
+rotated to start at its lowest index and the rows sorted: a polygon mesh is
+a function of its points (ring, then lattice), whatever triangulation qhull
+returns.
 Every edge question (smoothing neighbours, edge flips, boundary edges,
 refinement midpoints, P2 connectivity) is answered by one table of unique
 edges keyed by int64 ``lo * n + hi``.
@@ -37,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay
 
-from ..geom2d import ConvexPolygon, min_angle_deg, min_corner_angle_deg
+from ..geom2d import ConvexPolygon, min_corner_angle_deg
 from ..profiles import ProfileH
 
 QUALITY_FLOOR_DEG = 20.0
@@ -48,7 +57,13 @@ MAX_THIN_COLUMNS = 100_000
 THIN_LAYERS = 4                  # cross layers of a strip mesh
 _MAX_FLIP_SWEEPS = 20            # sweeps per flip pass (rounds + a final pass); passes need 0-1
 _INCIRCLE_TIE = 1e-12            # in-circle determinants this small against their terms are ties
+# a quad whose determinant is below -_TIE_BAND of its terms is no tie: the other
+# diagonal's determinant is its negative up to rounding, and the two term sums of
+# a mesh quad stay within a factor of about 10 of each other
+_TIE_BAND = 1e-6
 _SMOOTH_ROUNDS = 4               # smoothing rounds per polygon mesh
+_JITTER = 1e-10                  # qhull's copy of the points moves this much, times their diagonal
+_JITTER_SEED = 20260421          # the jitter's generator seed
 
 
 class MeshError(RuntimeError):
@@ -89,15 +104,21 @@ class TriangleMesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
+    def _corner_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The x and y of every triangle's corners, as (m, 3) arrays."""
+        return self.nodes[:, 0][self.triangles], self.nodes[:, 1][self.triangles]
+
     def hmax(self) -> float:
-        v = self.nodes[self.triangles]
-        d = v[:, [1, 2, 0]] - v
-        return float(np.sqrt((d[..., 0] ** 2 + d[..., 1] ** 2).max()))
+        x, y = self._corner_columns()
+        dx, dy = x[:, [1, 2, 0]] - x, y[:, [1, 2, 0]] - y
+        return float(np.sqrt((dx ** 2 + dy ** 2).max()))
 
     def min_angle_deg(self) -> float:
-        v = self.nodes[self.triangles]
-        return min(min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
-                   for i in range(3))
+        """As ``geom2d.min_angle_deg`` over the three corners of every triangle."""
+        x, y = self._corner_columns()
+        (ax, bx), (ay, by) = ((w[:, [1, 2, 0]] - w, w[:, [2, 0, 1]] - w) for w in (x, y))
+        cosang = (ax * bx + ay * by) / (np.hypot(ax, ay) * np.hypot(bx, by))
+        return float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)).min()))
 
 
 def _edge_table(tris: np.ndarray, n_nodes: int):
@@ -129,9 +150,10 @@ def _require_positive(**values: float) -> None:
 
 
 def _signed_areas(nodes: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    v = nodes[tris]
-    return ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-            - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
+    x, y = nodes[:, 0], nodes[:, 1]
+    i, j, k = tris.T
+    x0, y0 = x[i], y[i]
+    return (x[j] - x0) * (y[k] - y0) - (y[j] - y0) * (x[k] - x0)
 
 
 def _boundary_ring(vertices: np.ndarray, h: float) -> np.ndarray:
@@ -169,34 +191,56 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
 
 
 def _delaunay(points: np.ndarray) -> np.ndarray:
-    """qhull's triangulation of ``points``, counterclockwise as scipy
-    documents for 2-D ``Delaunay.simplices``.
+    """A triangulation of ``points``, counterclockwise: qhull's, of a copy
+    jittered by ``_JITTER`` times the bounding-box diagonal.
 
-    Subdividing a straight polygon edge puts exactly collinear points on the
-    hull, and qhull covers such runs with zero-area caps; every triangle with
-    |2 area| at most 1e-10 times the squared bounding-box diagonal is dropped.
-    Raises ``MeshError`` unless every point is a corner of a kept triangle.
+    The lattice and the subdivided edges are full of exact ties, which cost
+    qhull about half its time; the flips that follow settle every tie by
+    index, so a jittered start gives the same mesh.  The jitter is drawn
+    from a generator seeded with ``_JITTER_SEED``.  Subdividing a straight
+    polygon edge puts collinear points on the hull, which qhull covers with
+    caps; every triangle with |2 area| on ``points`` at most 1e-10 times the
+    squared bounding-box diagonal is dropped.  Raises ``MeshError`` unless
+    every kept triangle is positive on ``points`` and every point is a corner
+    of one.
     """
-    tris = np.asarray(Delaunay(points).simplices, dtype=np.int64)
     span = points.max(axis=0) - points.min(axis=0)
     scale = float(np.hypot(*span))
-    tris = tris[np.abs(_signed_areas(points, tris)) > 1e-10 * scale * scale]
+    jitter = np.random.default_rng(_JITTER_SEED).uniform(-1.0, 1.0, points.shape)
+    tris = np.asarray(Delaunay(points + _JITTER * scale * jitter).simplices, dtype=np.int64)
+    area2 = _signed_areas(points, tris)
+    keep = np.abs(area2) > 1e-10 * scale * scale
+    if np.any(area2[keep] < 0):
+        raise MeshError("triangulation inverts a triangle of the exact points")
+    tris = tris[keep]
     if not np.bincount(tris.ravel(), minlength=len(points)).all():
         raise MeshError("triangulation leaves points unused")
     return tris
+
+
+def _incircle(pts: np.ndarray, a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """The in-circle determinant of d against the positive triangle (a, b, c),
+    positive where d lies inside its circumcircle, and the sum of its terms'
+    magnitudes."""
+    x, y = pts[:, 0], pts[:, 1]
+    xd, yd = x[d], y[d]
+    (adx, bdx, cdx), (ady, bdy, cdy) = ([w[i] - wd for i in (a, b, c)]
+                                        for w, wd in ((x, xd), (y, yd)))
+    lift = [ux * ux + uy * uy for ux, uy in ((adx, ady), (bdx, bdy), (cdx, cdy))]
+    det = perm = 0.0
+    for lf, (ux, uy), (vx, vy) in zip(lift, ((bdx, bdy), (cdx, cdy), (adx, ady)),
+                                      ((cdx, cdy), (adx, ady), (bdx, bdy))):
+        p, q = ux * vy, uy * vx
+        det = det + lf * (p - q)
+        perm = perm + lf * (np.abs(p) + np.abs(q))
+    return det, perm
 
 
 def _incircle_fails(pts: np.ndarray, a, b, c, d) -> np.ndarray:
     """True where d lies inside the circumcircle of the positive triangle
     (a, b, c), by more than a tie: the in-circle determinant must exceed
     ``_INCIRCLE_TIE`` times the sum of its terms' magnitudes."""
-    ad, bd, cd = pts[a] - pts[d], pts[b] - pts[d], pts[c] - pts[d]
-    lift = [np.einsum("ij,ij->i", v, v) for v in (ad, bd, cd)]
-    det = perm = 0.0
-    for lf, u, v in zip(lift, (bd, cd, ad), (cd, ad, bd)):
-        p, q = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
-        det = det + lf * (p - q)
-        perm = perm + lf * (np.abs(p) + np.abs(q))
+    det, perm = _incircle(pts, a, b, c, d)
     return det > _INCIRCLE_TIE * perm
 
 
@@ -205,7 +249,12 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, quads=None):
 
     ``tris`` must be positively oriented.  An interior edge shared by (a, b, c)
     and (b, a, d) fails when d lies inside the circumcircle of (a, b, c), and
-    flipping it gives (a, d, c) and (d, b, c).  Each sweep flips the edges
+    flipping it gives (a, d, c) and (d, b, c).  A tie, a quad on which neither
+    diagonal fails beyond ``_INCIRCLE_TIE``, settles on the diagonal through
+    the quad's lowest point index: a symbolic perturbation that lifts the
+    points in index order (Edelsbrunner & Muecke, 1990), under which the
+    flips end at one triangulation of the points, whichever they start from.
+    Each sweep flips the edges
     that are the lowest-index failing edge of both their triangles: an
     independent set, never empty while an edge fails.  Returns the triangles
     and their table (unique edges of ``_edge_table``; per interior edge its
@@ -228,7 +277,14 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, quads=None):
             quads = (uniq, edge, t1, t2, tris[t1, k1], tris[t1, (k1 + 1) % 3],
                      tris[t1, (k1 + 2) % 3], tris[t2, (k2 + 2) % 3])
         uniq, edge, t1, t2, a, b, c, d = quads
-        fails = np.flatnonzero(_incircle_fails(pts, a, b, c, d))
+        det, perm = _incircle(pts, a, b, c, d)
+        fails = det > _INCIRCLE_TIE * perm
+        # a tie, where neither diagonal fails, flips to c-d when that diagonal
+        # holds the quad's lowest index; only the band can hold a tie
+        band = np.flatnonzero(~fails & (np.minimum(c, d) < np.minimum(a, b))
+                              & (det >= -_TIE_BAND * perm))
+        fails[band] = ~_incircle_fails(pts, d[band], c[band], a[band], b[band])
+        fails = np.flatnonzero(fails)
         if fails.size == 0:
             return tris, quads
         # flip each failing edge that is the lowest failing edge of both owners
@@ -251,10 +307,10 @@ def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, 
     triangles Delaunay, before each round and once more after the last, so
     every round's motion meets the flips' inversion check.  A round changes
     only a few edges, so the flips' edge table is handed from call to call.
-    The caps that ``_delaunay`` drops lie on fixed boundary points, so the
-    free points have the neighbours that qhull's ``vertex_neighbor_vertices``
-    would give them (summed in another order).  Returns the smoothed points
-    and their triangles.
+    The flips settle ties by index, so the triangles depend on the points
+    alone, not on the triangulation qhull starts them from.  Returns the
+    smoothed points and their triangles in a canonical order: each rotated
+    to start at its lowest index, orientation kept, and the rows sorted.
     """
     n = points.shape[0]
     tris, quads = _delaunay(points), None
@@ -267,7 +323,9 @@ def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, 
         sums = np.stack([np.bincount(ends, weights=points[other, i], minlength=n)
                          for i in range(2)], axis=1)
         points = np.concatenate([points[:n_fixed], sums[n_fixed:] / degree])
-    return points, _lawson_flips(points, tris, quads)[0]
+    tris = _lawson_flips(points, tris, quads)[0]
+    tris = tris[np.arange(len(tris))[:, None], (tris.argmin(axis=1)[:, None] + np.arange(3)) % 3]
+    return points, tris[np.lexsort(tris.T[::-1])]
 
 
 def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:

@@ -407,15 +407,24 @@ def _assert_equal_up_to_ties(pts, got, want, free):
     return only_got
 
 
+def _assert_ties_keep_lowest(pts, tris):
+    """Every tie quad of ``tris`` has the diagonal through its lowest index."""
+    ties = _tie_diagonals(pts, tris)
+    assert all(min(e) < min(other) for e, other in ties.items())
+    return ties
+
+
 @pytest.mark.parametrize("name, poly", REFERENCE_POLYGONS, ids=[n for n, _ in REFERENCE_POLYGONS])
 def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch):
     """Smoothing sums each vertex's neighbours in ascending order, the loop
     in qhull's order, so the points agree to rounding (4 ulp of the largest
     coordinate).  The final triangles come from edge flips, the loop's from
     qhull on its final points, whose flat caps on collinear hull points the
-    dict route repairs: they agree as sets up to in-circle ties.  The one
-    qhull call matches the sliver repair of the dict route bit for bit, as
-    does P2 connectivity."""
+    dict route repairs: they agree as sets up to in-circle ties, and every
+    tie keeps the diagonal through its lowest index.  The one qhull call, on
+    a jittered copy, gives triangles positive on the exact points that match
+    the sliver repair of the dict route on those points up to ties.  P2
+    connectivity matches the dict route bit for bit."""
     smooth, delaunay = mesh_mod._smooth, mesh_mod._delaunay
     seen = []
 
@@ -428,13 +437,16 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
         free = set(range(n_fixed, len(points)))
         if not _assert_equal_up_to_ties(got[0], got[1], repaired, free):
             assert _triangle_set(got[1]) == _triangle_set(repaired)
+        _assert_ties_keep_lowest(got[0], got[1])
         return got
 
     def checked_delaunay(pts):
         got = delaunay(pts)
         want = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
-        # qhull's simplices are counterclockwise: ``_delaunay`` does not orient them
-        assert np.array_equal(got, _orient_ccw(pts, want))
+        assert np.all(mesh_mod._signed_areas(pts, got) > 0)
+        assert len(got) == len(want)
+        if not _assert_equal_up_to_ties(pts, got, want, set()):
+            assert _triangle_set(got) == _triangle_set(want)
         seen.append(len(got))
         return got
 
@@ -461,7 +473,8 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
     """Before each round's neighbour sums, and in the final pass after the
     last round, the free vertices have the neighbours that a fresh qhull call
     on the current points gives them; the triangulations differ elsewhere
-    only at in-circle ties."""
+    only at in-circle ties, each of which keeps the diagonal through its
+    lowest index."""
     flips, smooth = mesh_mod._lawson_flips, mesh_mod._smooth
     fixed, rounds = [], []
 
@@ -482,6 +495,7 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
     for pts, tris in rounds:
         qhull = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
         ties.append(_assert_equal_up_to_ties(pts, tris, qhull, set(range(fixed[0], len(pts)))))
+        _assert_ties_keep_lowest(pts, tris)
     if name == TIE_SPLIT_CASE:
         assert ties[-1]
 
@@ -545,6 +559,152 @@ def test_polygon_meshes_are_delaunay_up_to_ties():
             assert a.size and not mesh_mod._incircle_fails(mesh.nodes, a, b, c, d).any(), name
 
 
+def _jittered_qhull(amount):
+    """qhull on its input moved by ``amount`` times the bounding-box diagonal."""
+    delaunay = mesh_mod.Delaunay
+
+    def jittered(points):
+        scale = np.hypot(*(points.max(axis=0) - points.min(axis=0)))
+        return delaunay(points + amount * scale
+                        * np.random.default_rng(5).uniform(-1.0, 1.0, points.shape))
+    return jittered
+
+
+def test_polygon_meshes_do_not_depend_on_qhulls_triangulation(monkeypatch):
+    """Every drift-corpus polygon mesh is bit for bit the same whether qhull
+    triangulates the exact points, the module's jittered copy or a copy
+    jittered 100 times more: the flips settle each tie by index, and the
+    triangles come in canonical order, each from its lowest index with the
+    rows sorted."""
+    makers = {name: make for name, make in drift_corpus().items() if not name.startswith("strip-")}
+    want = {name: make() for name, make in makers.items()}
+    for tris in (mesh.triangles for mesh in want.values()):
+        assert np.array_equal(tris[:, 0], tris.min(axis=1))
+        assert np.array_equal(tris, tris[np.lexsort(tris.T[::-1])])
+    with monkeypatch.context() as m:
+        m.setattr(mesh_mod, "_JITTER", 0.0, raising=False)
+        exact = {name: make() for name, make in makers.items()}
+    monkeypatch.setattr(mesh_mod, "Delaunay", _jittered_qhull(1e-8))
+    coarse = {name: make() for name, make in makers.items()}
+    for name, mesh in want.items():
+        for other in (exact[name], coarse[name]):
+            assert np.array_equal(other.nodes, mesh.nodes), name
+            assert np.array_equal(other.triangles, mesh.triangles), name
+
+
+def test_qhull_sees_one_fixed_jittered_copy(monkeypatch):
+    """qhull gets a copy of the points moved by at most ``_JITTER`` times
+    their diagonal, the same copy on every call."""
+    seen, delaunay = [], mesh_mod.Delaunay
+
+    def recording(points):
+        seen.append(points.copy())
+        return delaunay(points)
+
+    monkeypatch.setattr(mesh_mod, "Delaunay", recording)
+    pts = np.concatenate([mesh_mod._boundary_ring(geom2d.resolve("square").vertices, 0.1),
+                          [[0.5, 0.5]]])
+    first, second = mesh_mod._delaunay(pts), mesh_mod._delaunay(pts)
+    assert np.array_equal(first, second) and np.array_equal(seen[0], seen[1])
+    scale = np.hypot(*(pts.max(axis=0) - pts.min(axis=0)))
+    moved = np.abs(seen[0] - pts)
+    assert 0 < moved.max() <= mesh_mod._JITTER * scale
+
+
+def _cocircular_quad():
+    """Four points on one circle, counterclockwise from index 0."""
+    angles = np.array([0.3, 1.9, 3.5, 5.0])
+    return np.stack([0.2 + 1.7 * np.cos(angles), -0.4 + 1.7 * np.sin(angles)], axis=1)
+
+
+@pytest.mark.parametrize("pts", [
+    _cocircular_quad(),
+    np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+], ids=["cocircular", "square"])
+def test_a_tie_settles_on_the_diagonal_through_index_0(pts):
+    """Points 0, 1, 2, 3 run counterclockwise round one circle: starting from
+    either diagonal, the flips end on 0-2, and a second pass flips nothing."""
+    want = {frozenset((0, 1, 2)), frozenset((0, 2, 3))}
+    for tris in (np.array([[0, 1, 2], [0, 2, 3]]), np.array([[0, 1, 3], [1, 2, 3]])):
+        assert _tie_diagonals(pts, tris)
+        got = mesh_mod._lawson_flips(pts, tris)[0]
+        assert _triangle_set(got) == want
+        assert np.array_equal(mesh_mod._lawson_flips(pts, got)[0], got)
+
+
+def test_tie_case_settles_within_the_sweep_cap(monkeypatch):
+    """TIE_CASE's cocircular boundary quads settle in at most 4 sweeps per
+    flip pass, from the jittered or the exact start."""
+    monkeypatch.setattr(mesh_mod, "_MAX_FLIP_SWEEPS", 4)
+    want = drift_corpus()[TIE_CASE]()
+    monkeypatch.setattr(mesh_mod, "_JITTER", 0.0)
+    got = drift_corpus()[TIE_CASE]()
+    assert np.array_equal(got.triangles, want.triangles)
+
+
+# --- the (m, 2) formulas that the coordinate-column predicates replaced ---
+
+def _signed_areas_by_rows(nodes, tris):
+    v = nodes[tris]
+    return ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+            - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0]))
+
+
+def _incircle_by_rows(pts, a, b, c, d):
+    ad, bd, cd = pts[a] - pts[d], pts[b] - pts[d], pts[c] - pts[d]
+    lift = [np.einsum("ij,ij->i", v, v) for v in (ad, bd, cd)]
+    det = perm = 0.0
+    for lf, u, v in zip(lift, (bd, cd, ad), (cd, ad, bd)):
+        p, q = u[:, 0] * v[:, 1], u[:, 1] * v[:, 0]
+        det = det + lf * (p - q)
+        perm = perm + lf * (np.abs(p) + np.abs(q))
+    return det, perm
+
+
+def _hmax_by_rows(mesh):
+    v = mesh.nodes[mesh.triangles]
+    d = v[:, [1, 2, 0]] - v
+    return float(np.sqrt((d[..., 0] ** 2 + d[..., 1] ** 2).max()))
+
+
+def _min_angle_by_rows(mesh):
+    v = mesh.nodes[mesh.triangles]
+    return min(geom2d.min_angle_deg(v[:, (i + 1) % 3] - v[:, i], v[:, (i + 2) % 3] - v[:, i])
+               for i in range(3))
+
+
+def _predicate_inputs():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(-3.0, 3.0, 400)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 400)
+    return {"random": rng.normal(size=(400, 2)) * [2.0, 0.5] + [1.0, -3.0],
+            "collinear": np.stack([0.1 + 0.7 * t, -0.2 + 0.3 * t], axis=1),
+            "axis": np.stack([t, np.zeros_like(t)], axis=1),
+            "cocircular": np.stack([0.3 + 1.3 * np.cos(angles), -0.7 + 1.3 * np.sin(angles)],
+                                   axis=1)}, rng
+
+
+def test_column_predicates_match_the_row_formulas():
+    """``_signed_areas`` and ``_incircle`` on coordinate columns do the row
+    formulas' operations in the same order: bit for bit equal results."""
+    inputs, rng = _predicate_inputs()
+    for name, pts in inputs.items():
+        idx = rng.integers(0, len(pts), size=(3000, 4))
+        assert np.array_equal(mesh_mod._signed_areas(pts, idx[:, :3]),
+                              _signed_areas_by_rows(pts, idx[:, :3])), name
+        for got, want in zip(mesh_mod._incircle(pts, *idx.T), _incircle_by_rows(pts, *idx.T)):
+            assert np.array_equal(got, want), name
+
+
+def test_mesh_quality_on_columns_matches_the_row_formulas():
+    """``hmax`` and ``min_angle_deg`` equal the row formulas bit for bit on
+    every drift-corpus mesh, strips included."""
+    for name, make in drift_corpus().items():
+        mesh = make()
+        assert mesh.hmax() == _hmax_by_rows(mesh), name
+        assert mesh.min_angle_deg() == _min_angle_by_rows(mesh), name
+
+
 def test_flip_sweep_cap_raises(monkeypatch):
     monkeypatch.setattr(mesh_mod, "_MAX_FLIP_SWEEPS", 0)
     with pytest.raises(MeshError, match="did not settle in 0 sweeps"):
@@ -553,8 +713,8 @@ def test_flip_sweep_cap_raises(monkeypatch):
 
 def test_lawson_flips_on_one_quad():
     """The diagonal b-c of the quad a, b, d, c flips to a-d when d lies in the
-    circumcircle of (a, b, c); an exact tie flips nothing, and an inverted
-    triangle raises."""
+    circumcircle of (a, b, c); an exact tie flips to the diagonal through the
+    lowest index, a-d again, and an inverted triangle raises."""
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.9, 0.9]])
     tris = np.array([[0, 1, 2], [1, 3, 2]])
     got, quads = mesh_mod._lawson_flips(pts, tris)
@@ -563,7 +723,7 @@ def test_lawson_flips_on_one_quad():
     assert (0, 3) in set(map(tuple, quads[0].tolist()))
     square = pts.copy()
     square[3] = [1.0, 1.0]
-    assert np.array_equal(mesh_mod._lawson_flips(square, tris)[0], tris)
+    assert _triangle_set(mesh_mod._lawson_flips(square, tris)[0]) == _triangle_set(got)
     with pytest.raises(MeshError, match="inverted"):
         mesh_mod._lawson_flips(pts, tris[:, ::-1])
 
@@ -593,6 +753,15 @@ def test_point_left_out_without_caps_raises(monkeypatch):
     monkeypatch.setattr(mesh_mod, "Delaunay", leaving_one_out)
     with pytest.raises(MeshError, match="unused"):
         polygon_mesh(geom2d.resolve("square"), 0.1)
+
+
+def test_triangle_inverted_on_the_exact_points_raises(monkeypatch):
+    """A triangle that is not positive on the exact points is refused, caps
+    aside."""
+    monkeypatch.setattr(mesh_mod, "Delaunay",
+                        lambda pts: SimpleNamespace(simplices=SLIVER_TRIS[:1, ::-1]))
+    with pytest.raises(MeshError, match="inverts"):
+        mesh_mod._delaunay(SLIVER_PTS[:3])
 
 
 def _halves(h):
