@@ -99,7 +99,7 @@ def _out_path(given: str | None, default_name: str) -> str:
 
 def _cmd_f1d(args):
     h = profiles.resolve(args.profile)
-    results = {k: v for k, v in sl1d.f_record(h, args.elements).items() if k != "elements"}
+    results = sl1d.f_record(h, args.elements)
     mu, sg, F = sl1d.extrapolated_limits(h, args.elements)
     results.update(mu1_extrapolated=mu, sigma1_extrapolated=sg, F_extrapolated=F)
     if args.oracle:
@@ -156,9 +156,9 @@ def _cmd_fem(args):
                                              args.levels)
     levels = [{k: getattr(rec, k)
                for k in ("hmax", "dofs", "mu1", "sigma1", "x", "y", "F",
-                         "mu_residual", "sigma_residual",
-                         "mu_iterations", "sigma_iterations", "mu_lu_nnz",
-                         "sigma_lu_nnz", "mu_shift", "sigma_shift")} for rec in records]
+                         "mu_residual", "sigma_residual", "mu_iterations",
+                         "sigma_iterations", "mu_lu_nnz", "sigma_lu_nnz",
+                         "mu_shift", "sigma_shift", "warning")} for rec in records]
     results = {"area": g.area, "perimeter": g.perimeter, "levels": levels}
     results.update({f"{key}_observed_rate": rate for key, rate in rates.items()})
     final = levels[-1]

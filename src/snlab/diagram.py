@@ -12,7 +12,8 @@ summary, and a campaign still succeeds when it finds them.  Hard violations
 of the proved inequalities (the uniform band for F, the per-domain upper
 bound, the lower bound mu1 * D^2 >= pi^2, and the enclosing rectangle
 x <= 8 pi, y <= pi * j'_11^2) are counted separately in the summary; those
-counts are legitimate test targets.
+counts are legitimate test targets.  Samples whose mesh carries a quality
+warning are named in the CSV metadata and the summary.
 
 The families come from one table, ``_FAMILIES``, of generators and CSV
 notes; the random ones draw through ``geom2d.random_hull``.  Each sample
@@ -134,6 +135,8 @@ class CampaignResult:
             "failed": len(self.errors),
             "failures": [{"id": e.id, "seed": e.seed, "message": e.message}
                          for e in self.errors],
+            "quality_warnings": [{"id": p.id, "seed": p.seed, "message": p.record.warning}
+                                 for p in self.points if p.record.warning],
         }
         out.update(conjecture_report(self.points))
         out["hard_bounds"] = hard_bound_report(self.points)
@@ -340,8 +343,8 @@ def hard_bound_report(points) -> dict:
 
 
 def campaign_metadata(result: CampaignResult) -> dict:
-    """The '#' metadata of a campaign's CSV: its parameters, counts, failures
-    and conjecture candidates."""
+    """The '#' metadata of a campaign's CSV: its parameters, counts, failures,
+    mesh quality warnings and conjecture candidates."""
     c = result.campaign
     meta = {
         "family": c.family, "n": c.n, "seed": c.seed, "hmax": c.hmax,
@@ -349,6 +352,9 @@ def campaign_metadata(result: CampaignResult) -> dict:
     }
     for e in result.errors:
         meta[f"failure {e.id}"] = e.message
+    for p in result.points:
+        if p.record.warning:
+            meta[f"quality_warning {p.id}"] = p.record.warning
     flagged = [p.id for p in result.points if p.conjecture_candidate]
     if flagged:
         meta["conjecture_candidates"] = " ".join(flagged)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .mesh import TriangleMesh, _edge_table
+from .mesh import TriangleMesh, _p2_connectivity
 
 _S15 = np.sqrt(15.0)
 _QA = (6.0 - _S15) / 21.0
@@ -92,21 +92,6 @@ class FEMSystem:
     @property
     def n_dofs(self) -> int:
         return self.nodes.shape[0]
-
-
-def _p2_connectivity(mesh: TriangleMesh):
-    t = mesh.triangles
-    n = mesh.n_nodes
-    edges, uniq, inverse, first, counts = _edge_table(t, n)
-    tri6 = np.concatenate([t, inverse.reshape(3, -1).T + n], axis=1)
-    midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
-    nodes = np.concatenate([mesh.nodes, midpoints])
-
-    # boundary edges are the single-owner rows of the table; a row's index is its midpoint dof
-    bmid = np.flatnonzero(counts == 1)
-    bedges = edges[first[bmid]]
-    btriples = np.stack([bedges[:, 0], bedges[:, 1], bmid + n], axis=1)
-    return nodes, tri6, btriples
 
 
 def _element_terms(mesh: TriangleMesh):

@@ -143,6 +143,24 @@ def _edge_table(tris: np.ndarray, n_nodes: int):
     return edges, uniq, inverse, first, counts
 
 
+def _p2_connectivity(mesh: TriangleMesh):
+    """P2 numbering of a mesh: the nodes (corners, then the midpoint of unique
+    edge e as node n + e), the six-node triangles (corners, then midpoints
+    m01, m12, m20) and the boundary triples (ends, midpoint)."""
+    t = mesh.triangles
+    n = mesh.n_nodes
+    edges, uniq, inverse, first, counts = _edge_table(t, n)
+    tri6 = np.concatenate([t, inverse.reshape(3, -1).T + n], axis=1)
+    midpoints = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+    nodes = np.concatenate([mesh.nodes, midpoints])
+
+    # boundary edges are the single-owner rows of the table; a row's index is its midpoint dof
+    bmid = np.flatnonzero(counts == 1)
+    bedges = edges[first[bmid]]
+    btriples = np.stack([bedges[:, 0], bedges[:, 1], bmid + n], axis=1)
+    return nodes, tri6, btriples
+
+
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):
@@ -379,11 +397,8 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
 
 def refine(mesh: TriangleMesh) -> TriangleMesh:
     """Uniform 1-to-4 refinement; midpoints of straight boundary edges stay on them."""
-    t = mesh.triangles
-    _, uniq, inverse, _, _ = _edge_table(t, mesh.n_nodes)
-    mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
-    m = inverse.reshape(3, -1).T + mesh.n_nodes      # columns: m01, m12, m20
-    nodes = np.concatenate([mesh.nodes, mid])
+    nodes, tri6, _ = _p2_connectivity(mesh)
+    t, m = tri6[:, :3], tri6[:, 3:]               # m columns: m01, m12, m20
     tris = np.concatenate([
         np.stack([t[:, 0], m[:, 0], m[:, 2]], axis=1),
         np.stack([t[:, 1], m[:, 1], m[:, 0]], axis=1),

@@ -276,21 +276,11 @@ def named(spec: str) -> ConvexPolygon:
     raise GeometryError(f"unknown shape {spec!r}")
 
 
-def to_dict(p: ConvexPolygon) -> dict:
-    return {"vertices": p.vertices.tolist()}
-
-
 def from_dict(d: dict) -> ConvexPolygon:
     try:
         return ConvexPolygon(np.asarray(d["vertices"], dtype=float))
     except (KeyError, TypeError) as exc:
         raise GeometryError(f"malformed polygon object: {exc}") from exc
-
-
-def save(p: ConvexPolygon, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_dict(p), f)
-        f.write("\n")
 
 
 def load(path) -> ConvexPolygon:

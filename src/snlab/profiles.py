@@ -30,9 +30,11 @@ class ProfileError(ValueError):
     """Malformed profile data (knots or ordinates)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileH:
-    """Piecewise-linear function on [0, 1] given by knots and ordinates."""
+    """Piecewise-linear function on [0, 1] given by knots and ordinates.
+
+    Profiles hash and compare by identity, so one can key a cache."""
 
     knots: np.ndarray
     values: np.ndarray
@@ -103,11 +105,6 @@ def validate(h: ProfileH) -> ValidityReport:
         violations.append(("integral", -1, float(integ)))
     ok = not violations
     return ValidityReport(ok=ok, normalized=normalized, integral=integ, violations=violations)
-
-
-def is_admissible(h: ProfileH) -> bool:
-    r = validate(h)
-    return r.ok and r.normalized
 
 
 def normalize(h: ProfileH) -> ProfileH:
@@ -218,22 +215,12 @@ def random_profile(rng: np.random.Generator, n_knots: int = 33,
     return normalize(ProfileH(x, v))
 
 
-def to_dict(h: ProfileH) -> dict:
-    return {"knots": h.knots.tolist(), "values": h.values.tolist()}
-
-
 def from_dict(d: dict) -> ProfileH:
     try:
         return ProfileH(np.asarray(d["knots"], dtype=float),
                         np.asarray(d["values"], dtype=float))
     except (KeyError, TypeError) as exc:
         raise ProfileError(f"malformed profile object: {exc}") from exc
-
-
-def save(h: ProfileH, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(to_dict(h), f)
-        f.write("\n")
 
 
 def load(path) -> ProfileH:

@@ -19,7 +19,9 @@ entries cancel on smooth vectors; B's form is z^T B z.  The residual
 certifies the eigenpair, and a Sturm count (inertia of A - 0.999 lam B) that
 it is the first.  The start vector's seeds depend on the grid size alone and
 are drawn once per size; the residual's roundoff floor is evaluated only when
-it can end the run.
+it can end the run.  Each (profile, grid) is assembled once: ``_pencils``
+caches the last four pencil pairs, read-only and keyed by the profile's
+identity, and mu1, sigma1 and the Richardson grids share them.
 
 An independent route for sigma1 discretizes the equivalent integral operator
 with Green kernel
@@ -256,58 +258,56 @@ def _certify_first(p: _Pencil, lam: float) -> None:
         raise SolverError(f"inertia certificate failed: {below} eigenvalues below 0.999 lam")
 
 
+@functools.lru_cache(maxsize=4)
 def _pencils(h: ProfileH, elements: int):
-    """(interior, boundary) pencils of an admissible weight."""
+    """(interior, boundary) pencils of an admissible weight, read-only.  A
+    profile's arrays are read-only too, so its identity keys the cache, whose
+    four entries hold one Richardson ladder and one raw grid."""
     if np.any(h.values < -1e-12):
         raise ValueError("weight must be nonnegative")
     if h.integral() <= 0:
         raise ValueError("weight must have positive integral")
-    return _assemble(h, elements)
+    pair = _assemble(h, elements)
+    for p in pair:
+        for a in (p.a_main, p.a_off, p.b_main, p.b_off, p.stiff_w):
+            a.flags.writeable = False
+    return pair
 
 
-def mu1(h: ProfileH, elements: int = 1024, *, pencils=None) -> SpectralResult:
-    """First nonzero eigenvalue of the interior-type weighted problem; pass
-    ``pencils=_pencils(h, elements)`` to reuse an assembly."""
-    return _solve_pencil((pencils or _pencils(h, elements))[0])
+def mu1(h: ProfileH, elements: int = 1024) -> SpectralResult:
+    """First nonzero eigenvalue of the interior-type weighted problem."""
+    return _solve_pencil(_pencils(h, elements)[0])
 
 
-def sigma1(h: ProfileH, elements: int = 1024, *, pencils=None) -> SpectralResult:
+def sigma1(h: ProfileH, elements: int = 1024) -> SpectralResult:
     """First nonzero eigenvalue of the boundary-type weighted problem."""
-    return _solve_pencil((pencils or _pencils(h, elements))[1])
+    return _solve_pencil(_pencils(h, elements)[1])
 
 
-def _grids(h: ProfileH, elements: int) -> tuple:
-    """(n, pencils) on the three grids n = elements, elements/2, elements/4
-    of the Richardson extrapolation."""
+def _extrapolate(solver, h: ProfileH, elements: int) -> float:
+    """Two-step Richardson extrapolation of the order-2 discretization on the
+    grids n = elements, elements/2, elements/4."""
     if elements % 4:
         raise ValueError("element count must be divisible by 4")
-    return tuple((n, _pencils(h, n)) for n in (elements, elements // 2, elements // 4))
-
-
-def _extrapolate(solver, h: ProfileH, grids) -> float:
-    """Two-step Richardson extrapolation of the order-2 discretization."""
-    v4, v2, v1 = (solver(h, n, pencils=p).eigenvalue for n, p in grids)
+    v4, v2, v1 = (solver(h, n).eigenvalue for n in (elements, elements // 2, elements // 4))
     e2 = (4.0 * v4 - v2) / 3.0
     e1 = (4.0 * v2 - v1) / 3.0
     return (16.0 * e2 - e1) / 15.0
 
 
-def mu1_extrapolated(h: ProfileH, elements: int = 2048, *, grids=None) -> float:
-    """Richardson limit of mu1; pass ``grids=_grids(h, elements)`` to reuse
-    assemblies."""
-    return _extrapolate(mu1, h, grids or _grids(h, elements))
+def mu1_extrapolated(h: ProfileH, elements: int = 2048) -> float:
+    """Richardson limit of mu1."""
+    return _extrapolate(mu1, h, elements)
 
 
-def sigma1_extrapolated(h: ProfileH, elements: int = 2048, *, grids=None) -> float:
-    return _extrapolate(sigma1, h, grids or _grids(h, elements))
+def sigma1_extrapolated(h: ProfileH, elements: int = 2048) -> float:
+    return _extrapolate(sigma1, h, elements)
 
 
 def extrapolated_limits(h: ProfileH, elements: int = 2048) -> tuple:
-    """(mu1, sigma1, F) Richardson limits, mu1 and sigma1 from one assembly
-    per grid and F = mu1 * integral(h) / sigma1."""
-    grids = _grids(h, elements)
-    mu = mu1_extrapolated(h, elements, grids=grids)
-    sg = sigma1_extrapolated(h, elements, grids=grids)
+    """(mu1, sigma1, F) Richardson limits, F = mu1 * integral(h) / sigma1."""
+    mu = mu1_extrapolated(h, elements)
+    sg = sigma1_extrapolated(h, elements)
     return mu, sg, mu * h.integral() / sg
 
 
@@ -318,12 +318,10 @@ def F_of_h(h: ProfileH, elements: int = 1024) -> float:
 
 def f_record(h: ProfileH, elements: int = 1024) -> dict:
     """mu1, sigma1 and F with solver certificates, for reporting."""
-    pair = _pencils(h, elements)
-    m = mu1(h, elements, pencils=pair)
-    s = sigma1(h, elements, pencils=pair)
+    m = mu1(h, elements)
+    s = sigma1(h, elements)
     integ = h.integral()
     return {
-        "elements": elements,
         "integral": integ,
         "mu1": m.eigenvalue,
         "sigma1": s.eigenvalue,

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from snlab import __version__, bessel, bounds, cli, geom2d, profiles, sl1d
+from snlab import __version__, bessel, bounds, cli, diagram, geom2d, profiles, sl1d
 from snlab.cli import main
 from snlab.fem2d import assemble, neumann_mu1, polygon_mesh, steklov_sigma1
 
@@ -108,7 +108,8 @@ def test_f1d_json_reports_solver_certificates(capsys):
 
 def test_f1d_assembles_each_grid_once(capsys, monkeypatch):
     """f1d assembles the raw solve's grid and each Richardson grid once: the
-    raw record and the limits come from two sl1d calls, so --elements twice."""
+    raw record and the limits share the --elements grid's pencils."""
+    sl1d._pencils.cache_clear()
     sizes = []
     assemble = sl1d._assemble
 
@@ -118,7 +119,7 @@ def test_f1d_assembles_each_grid_once(capsys, monkeypatch):
 
     monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
     res = run_json(capsys, ["f1d", "--profile", "tent:0.5", "--elements", "512"])["results"]
-    assert sorted(sizes) == [128, 256, 512, 512]
+    assert sorted(sizes) == [128, 256, 512]
     tent = profiles.triangular(0.5)
     rec = sl1d.f_record(tent, 512)
     assert (res["mu1"], res["sigma1"]) == (rec["mu1"], rec["sigma1"])
@@ -240,6 +241,15 @@ def test_fem_levels_report_solver_stats(capsys):
     # each shift lies below its eigenvalue; a fallback would show as negative
     assert 0.0 < level["mu_shift"] == mu.shift < level["mu1"]
     assert 0.0 < level["sigma_shift"] == sigma.shift < level["sigma1"]
+    assert level["warning"] is None
+
+
+def test_fem_levels_report_the_mesh_quality_warning(capsys):
+    """A 1 x 0.01 rectangle meshes below the quality floor, and refinement
+    keeps the angles, so every level carries the mesher's warning."""
+    levels = run_json(capsys, ["fem", "--shape", "rectangle:1:0.01", "--hmax", "0.1",
+                               "--levels", "2"])["results"]["levels"]
+    assert [lv["warning"][:18] for lv in levels] == ["min angle 7.41 deg"] * 2
 
 
 def test_thin_sweep_tent(capsys):
@@ -293,6 +303,23 @@ def test_diagram_writes_files_into_output_dir(capsys, tmp_path, monkeypatch):
     assert res["evaluated"] == 2 and res["failed"] == 0
     assert res["hard_bounds"]["band_violations"] == 0
     assert payload["seed"] == 3
+    assert res["quality_warnings"] == []
+    assert "quality_warning" not in csv_path.read_text()
+
+
+def test_diagram_names_samples_with_mesh_quality_warnings(capsys, tmp_path, monkeypatch):
+    """The thinnest rectangle of the tie campaign meshes below the quality
+    floor: its summary and its CSV metadata name it, the header unchanged."""
+    monkeypatch.setenv("SNLAB_OUTPUT_DIR", str(tmp_path))
+    res = run_json(capsys, ["diagram", "--family", "collapsingRectangle", "--n", "4",
+                            "--seed", "3", "--hmax", "0.1"])["results"]
+    (warned,) = res["quality_warnings"]
+    assert warned["id"] == "collapsingRectangle-0003"
+    assert warned["message"].startswith("min angle 7.41 deg")
+    lines = (tmp_path / "diagram-collapsingRectangle-3.csv").read_text().splitlines()
+    assert [line for line in lines if "quality_warning" in line] == [
+        f"# quality_warning collapsingRectangle-0003 = {warned['message']}"]
+    assert lines[-5] == diagram.CSV_HEADER
 
 
 def test_diagram_explicit_paths_override_env(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,5 @@
 """Triangle meshing: coverage, quality, refinement, and thin strips."""
 
-import importlib
 import math
 from types import SimpleNamespace
 
@@ -11,11 +10,8 @@ from conftest import drift_corpus, strip_mesh
 from snlab import diagram, geom2d, profiles
 from snlab.fem2d import mesh as mesh_mod
 from snlab.fem2d import polygon_mesh, refine, thin_mesh
-from snlab.fem2d.assemble import _p2_connectivity
-from snlab.fem2d.mesh import MeshError, QUALITY_FLOOR_DEG, THIN_LAYERS, TriangleMesh
-
-# the package's ``assemble`` function shadows its module
-assemble_mod = importlib.import_module("snlab.fem2d.assemble")
+from snlab.fem2d.mesh import (MeshError, QUALITY_FLOOR_DEG, THIN_LAYERS, TriangleMesh,
+                              _p2_connectivity)
 
 
 def _areas(mesh):
@@ -63,6 +59,34 @@ def test_refine_quadruples_and_preserves_area(hull_polygon):
     assert fine.n_triangles == 4 * mesh.n_triangles
     assert _areas(fine).sum() == pytest.approx(_areas(mesh).sum(), rel=1e-12)
     assert fine.hmax() == pytest.approx(mesh.hmax() / 2.0, rel=1e-12)
+
+
+def _refine_by_edge_table(mesh):
+    """``refine`` as it was before it took the P2 numbering of
+    ``_p2_connectivity``: (nodes, triangles) from its own edge table."""
+    t = mesh.triangles
+    _, uniq, inverse, _, _ = mesh_mod._edge_table(t, mesh.n_nodes)
+    mid = 0.5 * (mesh.nodes[uniq[:, 0]] + mesh.nodes[uniq[:, 1]])
+    m = inverse.reshape(3, -1).T + mesh.n_nodes
+    tris = np.concatenate([np.stack([t[:, 0], m[:, 0], m[:, 2]], axis=1),
+                           np.stack([t[:, 1], m[:, 1], m[:, 0]], axis=1),
+                           np.stack([t[:, 2], m[:, 2], m[:, 1]], axis=1), m])
+    return np.concatenate([mesh.nodes, mid]), tris
+
+
+def test_refine_on_the_p2_numbering_matches_its_edge_table_route():
+    """10 random polygons, T1, the square, a 12-gon and a tent strip refine
+    bit for bit as before ``refine`` shared ``_p2_connectivity``."""
+    campaign = diagram.Campaign("randomPolygon", 10, seed=7)
+    polys = [poly for _, _, poly in diagram._sample_shapes(campaign)]
+    polys += [geom2d.named(spec) for spec in ("T1", "square", "disk:12")]
+    half = profiles.scale(profiles.triangular(0.3), 0.5)
+    meshes = [polygon_mesh(poly, 0.03) for poly in polys] + [strip_mesh(half, half, 0.1, 0.02)]
+    for mesh in meshes:
+        fine = refine(mesh)
+        nodes, tris = _refine_by_edge_table(mesh)
+        assert np.array_equal(fine.nodes, nodes) and np.array_equal(fine.triangles, tris)
+        assert fine.quality_warning == mesh.quality_warning
 
 
 def test_collinear_cap_repair_regression():
@@ -815,7 +839,6 @@ def test_edge_table_matches_stable_unique_reference(monkeypatch):
         return got
 
     monkeypatch.setattr(mesh_mod, "_edge_table", checked_table)
-    monkeypatch.setattr(assemble_mod, "_edge_table", checked_table)
     for make in drift_corpus().values():
         _p2_connectivity(make())
     assert len(calls) > 2 * 110

@@ -369,20 +369,74 @@ def test_inertia_count_matches_dense_eigensolve(elements):
                 sl1d._certify_first(p, w[2])
 
 
+def _count_assemblies(monkeypatch) -> list:
+    """Empty the pencil cache and record the grid size of every assembly."""
+    sl1d._pencils.cache_clear()
+    sizes, assemble = [], sl1d._assemble
+    monkeypatch.setattr(sl1d, "_assemble", lambda h, n: sizes.append(n) or assemble(h, n))
+    return sizes
+
+
+def test_mu1_and_sigma1_share_one_assembly(monkeypatch):
+    h = profiles.triangular(0.3)
+    interior, boundary = sl1d._assemble(h, 256)
+    sizes = _count_assemblies(monkeypatch)
+    m, s = sl1d.mu1(h, 256), sl1d.sigma1(h, 256)
+    assert sizes == [256]
+    assert m.eigenvalue == sl1d._solve_pencil(interior).eigenvalue
+    assert s.eigenvalue == sl1d._solve_pencil(boundary).eigenvalue
+
+
+def test_extrapolated_pair_assembles_each_grid_once(monkeypatch):
+    h = profiles.triangular(0.3)
+    sizes = _count_assemblies(monkeypatch)
+    sl1d.mu1_extrapolated(h, 512)
+    sl1d.sigma1_extrapolated(h, 512)
+    assert sizes == [512, 256, 128]
+
+
 def test_extrapolated_limits_assembles_each_grid_once(monkeypatch):
     h = profiles.triangular(0.3)
     mu, sg = sl1d.mu1_extrapolated(h, 512), sl1d.sigma1_extrapolated(h, 512)
     expected = (mu, sg, mu * h.integral() / sg)
-    sizes = []
-    assemble = sl1d._assemble
-
-    def counting_assemble(h, n):
-        sizes.append(n)
-        return assemble(h, n)
-
-    monkeypatch.setattr(sl1d, "_assemble", counting_assemble)
+    sizes = _count_assemblies(monkeypatch)
     assert sl1d.extrapolated_limits(h, 512) == expected
     assert sorted(sizes) == [128, 256, 512]
+
+
+def test_equal_profiles_do_not_share_pencils(monkeypatch):
+    """Profiles key the cache by identity: two equal profiles are two keys."""
+    a, b = profiles.triangular(0.3), profiles.triangular(0.3)
+    assert a == a and a != b
+    sizes = _count_assemblies(monkeypatch)
+    pa, pb = sl1d._pencils(a, 64), sl1d._pencils(b, 64)
+    assert pa is not pb and sl1d._pencils(a, 64) is pa
+    assert sizes == [64, 64]
+
+
+def test_cached_pencils_are_read_only():
+    for p in sl1d._pencils(profiles.triangular(0.3), 64):
+        arrays = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 5
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+def test_failed_assembly_is_not_cached(monkeypatch):
+    h = profiles.triangular(0.3)
+    _count_assemblies(monkeypatch)
+
+    def failing(h, n):
+        raise sl1d.SolverError("assembly failed")
+
+    assemble = sl1d._assemble
+    monkeypatch.setattr(sl1d, "_assemble", failing)
+    with pytest.raises(sl1d.SolverError, match="assembly failed"):
+        sl1d.mu1(h, 64)
+    monkeypatch.setattr(sl1d, "_assemble", assemble)
+    assert sl1d.mu1(h, 64).residual <= 1e-9
+    assert sl1d._pencils.cache_info().currsize == 1
 
 
 # --- the per-point loop of the kernel integrals, kept as the reference ---

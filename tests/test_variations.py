@@ -72,6 +72,7 @@ def test_each_perturbed_profile_is_assembled_once(monkeypatch):
     """sigma, mu and F are differenced from one f_record per profile: 1 + t phi
     at three steps t and their negatives, plus h = 1 for second order.  A
     solve per quantity took 18 and 21 assemblies."""
+    sl1d._pencils.cache_clear()
     calls, real = [], sl1d._assemble
     monkeypatch.setattr(sl1d, "_assemble", lambda h, n: calls.append(n) or real(h, n))
     first = V.first_variations(V.cosine_direction(), elements=64)
@@ -148,8 +149,9 @@ def test_optimizer_finds_known_extremals():
     assert res_min.value >= PI2 / 12.0 - 1e-3
     assert res_max.value >= 1.9
     assert res_max.value <= 4.0 + 1e-3
-    assert profiles.is_admissible(res_min.profile)
-    assert profiles.is_admissible(res_max.profile)
+    for res in (res_min, res_max):
+        report = profiles.validate(res.profile)
+        assert report.ok and report.normalized
     # value traces are monotone in the chosen direction
     assert all(b <= a + 1e-12 for a, b in zip(res_min.trace, res_min.trace[1:]))
     assert all(b >= a - 1e-12 for a, b in zip(res_max.trace, res_max.trace[1:]))
