@@ -66,13 +66,11 @@ _STIFF_COLS = np.ascontiguousarray(_STIFF_REF.reshape(36, 4).T)
 
 @dataclass(frozen=True)
 class BandLayout:
-    """Where K - sW goes in a LAPACK band array: dof ``order[i]`` is row and
-    column i of the permuted matrix, whose half-bandwidth is ``kl`` on both
-    sides, and the stored entries of K (and M) and of B sit at ``k_flat`` and
-    ``b_flat`` of the Fortran-ordered (3 kl + 1) x n array that ``dgbtrf``
+    """Where K - sW goes in a LAPACK band array: its half-bandwidth is ``kl`` on
+    both sides, and the stored entries of K (and M) and of B sit at ``k_flat``
+    and ``b_flat`` of the Fortran-ordered (3 kl + 1) x n array that ``dgbtrf``
     factors, entry (i, j) in row 2 kl + i - j of column j."""
 
-    order: np.ndarray
     kl: int
     k_flat: np.ndarray
     b_flat: np.ndarray
@@ -82,7 +80,7 @@ class BandLayout:
 class FEMSystem:
     """Assembled P2 system for one mesh."""
 
-    nodes: np.ndarray            # all P2 node coordinates, corners first
+    nodes: np.ndarray            # all P2 node coordinates: corners first, a strip's by column
     boundary_dofs: np.ndarray    # sorted unique boundary degrees of freedom
     K: sparse.csc_matrix         # K and M share one indices and indptr:
     M: sparse.csc_matrix         # change them in place on neither
@@ -121,7 +119,8 @@ def _stiffness(area: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def assemble(mesh: TriangleMesh, *, _terms=None) -> FEMSystem:
     """The P2 system of ``mesh``; ``_terms``, when given, is its
-    ``_element_terms``, which a caller that needs them as well computed once."""
+    ``_element_terms``, which a caller that needs them as well computed once,
+    and may number the dofs otherwise: the system is numbered as its terms."""
     nodes, pattern, btriples, area, gx, gy = _element_terms(mesh) if _terms is None else _terms
     # C = Jinv Jinv^T per element, the sum of its x and y parts
     C = gx[:, :, None] * gx[:, None] + gy[:, :, None] * gy[:, None]
@@ -139,42 +138,40 @@ def assemble(mesh: TriangleMesh, *, _terms=None) -> FEMSystem:
                      B=_boundary_mass(nodes, btriples))
 
 
-def _band_layout(nodes: np.ndarray, K: sparse.csc_matrix, B: sparse.csc_matrix) -> BandLayout:
-    """The dofs in column order, sorted by x and then y: a strip is a chain of
-    columns, each coupled only to its neighbours, so K is narrowly banded."""
-    order = np.lexsort((nodes[:, 1], nodes[:, 0]))
-    pos = np.empty_like(order)
-    pos[order] = np.arange(order.size)
-
+def _band_layout(K: sparse.csc_matrix, B: sparse.csc_matrix) -> BandLayout:
+    """The band layout of K - sW as numbered, read from K's and B's CSC arrays."""
     def rows_cols(A):
-        return pos[A.indices], np.repeat(pos, np.diff(A.indptr))
+        return A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
 
     (ki, kj), (bi, bj) = rows_cols(K), rows_cols(B)
     kl = int(np.abs(ki - kj).max())    # B's entries lie on boundary edges, within K's
     ldab = 3 * kl + 1
-    return BandLayout(order=order, kl=kl, k_flat=2 * kl + ki - kj + ldab * kj,
+    return BandLayout(kl=kl, k_flat=2 * kl + ki - kj + ldab * kj,
                       b_flat=2 * kl + bi - bj + ldab * bj)
 
 
 def _stretched(mesh: TriangleMesh, eps_list):
     """For each eps, the image of ``mesh`` under (x, y) -> (x, eps y) and its system,
-    from one element pass shared with ``assemble(mesh)``: on its pattern
+    from one element pass shared with the unit strip's assembly: on its pattern
     K = eps (K - Ky) + Ky / eps, Ky the y part, and M = eps M; B is rebuilt
-    from the stretched boundary edges.  Every system carries the band layout
-    of the unit strip's column order, which stretching leaves unchanged."""
-    terms = _element_terms(mesh)
-    system = assemble(mesh, _terms=terms)
-    _, pattern, btriples, area, _, gy = terms
+    from the stretched boundary edges.  The systems number the dofs in column
+    order, by x and then y, not in the yielded mesh's P2 numbering: a strip is
+    a chain of columns, each coupled only to its neighbours, so K - sW is
+    narrowly banded as numbered, and every system carries one band layout."""
+    nodes, pattern, btriples, area, gx, gy = _element_terms(mesh)
+    order = np.lexsort((nodes[:, 1], nodes[:, 0]))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(order.size)
+    pattern, btriples = (pos[pattern[0]], pos[pattern[1]]), pos[btriples]
+    system = assemble(mesh, _terms=(nodes[order], pattern, btriples, area, gx, gy))
     ky = _stiffness(area, gy[:, :, None] * gy[:, None]).ravel()
     ky = sparse.coo_matrix((ky, pattern), shape=system.K.shape).tocsc().data   # K's pattern
     K, kx = system.K, system.K.data - ky
-    band = None
+    band = _band_layout(K, system.B)    # B's pattern is the same at every eps
     for eps in eps_list:
         nodes = system.nodes * [1.0, eps]
         Ke, Me = (sparse.csc_matrix((data, K.indices, K.indptr), shape=K.shape)
                   for data in (eps * kx + ky / eps, eps * system.M.data))
-        B = _boundary_mass(nodes, btriples)      # the same pattern at every eps
-        if band is None:
-            band = _band_layout(system.nodes, K, B)
+        B = _boundary_mass(nodes, btriples)
         yield (TriangleMesh(mesh.nodes * [1.0, eps], mesh.triangles),
                FEMSystem(nodes, system.boundary_dofs, Ke, Me, B, band))

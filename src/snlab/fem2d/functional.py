@@ -145,23 +145,23 @@ def thin_sweep(hplus: ProfileH, hminus: ProfileH, eps_list,
     """Records of the strips -eps hminus <= y <= eps hplus for the decreasing
     ``eps_list`` (at least three values, each finite and positive, all checked
     before any solve), their Aitken limits, and the 1D limits of
-    hplus + hminus with ``elements_1d`` elements.  The unit strip is meshed
-    once with column step ``dx0`` and stretched to each eps; each strip's
-    geometry is that of ``geom2d.thin_domain``."""
+    hplus + hminus with ``elements_1d`` elements, computed before any strip
+    is meshed.  The unit strip is meshed once with column step ``dx0`` and
+    stretched to each eps; each strip's geometry is that of
+    ``geom2d.thin_domain``."""
     eps_arr = tuple(float(e) for e in eps_list)
     if len(eps_arr) < 3 or any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("need a decreasing list of at least three eps values")
     for eps in eps_arr:
         _require_positive(eps=eps)
+    mu_lim, sg_lim, f_lim = sl1d.extrapolated_limits(profiles.add(hplus, hminus),
+                                                     elements_1d)
     rows = []
     for eps, (mesh, system) in zip(eps_arr, _stretched(thin_mesh(hplus, hminus, dx0), eps_arr)):
         geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
         rec = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
         rows.append((rec.mu1, 2.0 * rec.sigma1 / eps, rec.F))
     mu_seq, scaled_seq, f_seq = zip(*rows)
-
-    mu_lim, sg_lim, f_lim = sl1d.extrapolated_limits(profiles.add(hplus, hminus),
-                                                     elements_1d)
     return ThinSweep(
         eps=eps_arr, mu1=mu_seq, sigma1_rescaled=scaled_seq, F=f_seq,
         mu1_extrapolated=aitken(mu_seq),

@@ -11,15 +11,15 @@ s = ``_SHIFT_FRACTION`` * rho.  K - sW is factored once, by one of two
 factors, and the system chooses which:
 
 - A stretched strip, each system of ``thin_sweep``, carries a band layout
-  (``FEMSystem.band``).  A strip is a chain of columns: with its P2 dofs
-  sorted by x and then y, each couples only to its own and the neighbouring
-  columns, so K - sW is narrowly banded (half-bandwidth kl = 20 on every
-  strip measured).  Its entries are scattered straight from K's and W's
-  stored entries into LAPACK's (3 kl + 1) x n band array, which ``dgbtrf``
-  factors in place with partial pivoting; ``dgbtrs`` solves.  On the
-  tent-0.3 strip at eps 0.2 (3603 dofs, one BLAS thread) the factor took
-  1.0 ms against SuperLU's 2.0-2.6 ms, and a solve 0.13 ms against
-  0.15-0.17 ms.
+  (``FEMSystem.band``).  A strip is a chain of columns, and its system
+  numbers its P2 dofs by x and then y where it is assembled: each couples
+  only to its own and the neighbouring columns, so K - sW is narrowly
+  banded as numbered (half-bandwidth kl = 20 on every strip measured).  Its
+  entries are scattered straight from K's and W's stored entries into
+  LAPACK's (3 kl + 1) x n band array, which ``dgbtrf`` factors in place with
+  partial pivoting; ``dgbtrs`` solves.  On the tent-0.3 strip at eps 0.2
+  (3603 dofs, one BLAS thread) the factor took 1.0 ms against SuperLU's
+  2.0-2.6 ms, and a solve 0.13 ms against 0.15-0.17 ms.
 - Every other system goes to SuperLU, polygon meshes above all, whose band
   stays wide: the square at hmax 0.03 (7953 dofs) has RCM half-bandwidth
   267, and ``dgbtrf`` took 70-122 ms against SuperLU's 16 ms.  K - sW is
@@ -185,11 +185,11 @@ def _superlu(K, W, shift, kind: str):
 
 
 def _banded(K, W, w_flat, shift, band: BandLayout, kind: str):
-    """LAPACK's banded LU of K - sW in the column order ``band.order``, scattered
+    """LAPACK's banded LU of K - sW in the system's own numbering, scattered
     straight from K's and W's stored entries at ``band.k_flat`` and ``w_flat``:
     (solve, band array entries)."""
-    kl, order = band.kl, band.order
-    ab = np.zeros((order.size, 3 * kl + 1)).T      # Fortran-ordered, factored in place
+    kl = band.kl
+    ab = np.zeros((K.shape[0], 3 * kl + 1)).T      # Fortran-ordered, factored in place
     flat = ab.reshape(-1, order="F")               # a view of ab
     flat[band.k_flat] = K.data
     flat[w_flat] -= shift * W.data
@@ -198,10 +198,7 @@ def _banded(K, W, w_flat, shift, band: BandLayout, kind: str):
         raise FEMError(f"{kind} eigensolve failed: banded LU info {info}")
 
     def solve(b):
-        y, _ = dgbtrs(ab, kl, kl, b[order], piv, overwrite_b=1)
-        x = np.empty_like(y)
-        x[order] = y
-        return x
+        return dgbtrs(ab, kl, kl, b, piv)[0]
 
     return solve, ab.size
 

@@ -286,9 +286,9 @@ def sigma1(h: ProfileH, elements: int = 1024) -> SpectralResult:
 
 def _extrapolate(solver, h: ProfileH, elements: int) -> float:
     """Two-step Richardson extrapolation of the order-2 discretization on the
-    grids n = elements, elements/2, elements/4."""
-    if elements % 4:
-        raise ValueError("element count must be divisible by 4")
+    grids n = elements, elements/2, elements/4, the last at least 8."""
+    if elements % 4 or elements < 32:
+        raise ValueError("element count must be divisible by 4 and at least 32")
     v4, v2, v1 = (solver(h, n).eigenvalue for n in (elements, elements // 2, elements // 4))
     e2 = (4.0 * v4 - v2) / 3.0
     e1 = (4.0 * v2 - v1) / 3.0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import strip_mesh
 
-from snlab import bessel, geom2d, profiles
+from snlab import bessel, geom2d, profiles, sl1d
 from snlab.cli import main
 from snlab.fem2d import (F_of_domain, FEMError, MeshError, assemble, functional,
                          polygon_mesh, record_from_mesh, record_from_system, refine,
@@ -123,6 +123,9 @@ def sweep_by_eps_loop(hplus, hminus, eps_list, dx0):
 
 @pytest.mark.parametrize("name", STRIP_PAIRS)
 def test_stretched_strip_matches_assembly_at_each_eps(name):
+    """Each stretched system numbers its dofs in column order, sorted by x
+    and then y, and is ``assemble`` of the stretched mesh permuted into that
+    order."""
     hplus, hminus = STRIP_PAIRS[name]
     eps_list = (0.2, 0.05, 1e-3)
     unit = thin_mesh(hplus, hminus, dx0=0.01)
@@ -134,16 +137,23 @@ def test_stretched_strip_matches_assembly_at_each_eps(name):
         want = assemble(mesh)
         assert want.band is None
         bands.append(got.band)
-        assert np.array_equal(got.boundary_dofs, want.boundary_dofs)
-        assert np.allclose(got.nodes, want.nodes, rtol=0.0, atol=1e-15)
+        x, y = got.nodes.T
+        assert np.all((np.diff(x) > 0) | ((np.diff(x) == 0) & (np.diff(y) > 0)))
+        order = np.lexsort((want.nodes[:, 1], want.nodes[:, 0]))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        assert np.array_equal(got.boundary_dofs, np.sort(pos[want.boundary_dofs]))
+        assert np.allclose(got.nodes, want.nodes[order], rtol=0.0, atol=1e-15)
         for key in ("K", "M", "B"):
-            a, b = getattr(got, key), getattr(want, key)
-            assert abs(a - b).max() <= 1e-13 * abs(b).max(), key
+            a, b = getattr(got, key), getattr(want, key)[order][:, order]
+            assert abs(a - b).max() <= 1e-15 * abs(b).max(), key
         # K and M on one pattern, as ``assemble`` leaves them
         assert np.shares_memory(got.K.indices, got.M.indices)
         assert np.shares_memory(got.K.indptr, got.M.indptr)
-        assert np.array_equal(got.K.indices, want.K.indices)
-        assert np.array_equal(got.K.indptr, want.K.indptr)
+        permuted = want.K[order][:, order].tocsc()
+        permuted.sort_indices()
+        assert np.array_equal(got.K.indices, permuted.indices)
+        assert np.array_equal(got.K.indptr, permuted.indptr)
     # one band layout per sweep, shared by every eps
     assert bands[0] is not None and all(band is bands[0] for band in bands)
 
@@ -191,6 +201,20 @@ def test_thin_sweep_rejects_bad_eps_before_any_solve(monkeypatch, eps_list):
     half = _HALF["const"]
     with pytest.raises(MeshError, match="eps must be finite and positive"):
         thin_sweep(half, half, eps_list, dx0=0.05)
+
+
+@pytest.mark.parametrize("elements_1d", [16, 30])
+def test_thin_sweep_rejects_bad_elements_1d_before_any_strip(monkeypatch, elements_1d):
+    """The 1D limits come right after the eps checks, so a count the
+    Richardson grids cannot halve twice fails before any 1D or 2D work."""
+    def never(*args, **kwargs):
+        raise AssertionError("worked before elements_1d was checked")
+
+    monkeypatch.setattr(functional, "thin_mesh", never)
+    monkeypatch.setattr(sl1d, "_assemble", never)
+    half = profiles.scale(profiles.resolve("parabolic"), 0.5)
+    with pytest.raises(ValueError, match="element count must be divisible by 4"):
+        thin_sweep(half, half, (0.2, 0.1, 0.05), dx0=0.005, elements_1d=elements_1d)
 
 
 @pytest.mark.xfail(strict=True, raises=FEMError,

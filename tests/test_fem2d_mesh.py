@@ -47,6 +47,15 @@ def test_mesh_quality_on_regular_shapes():
         assert mesh.quality_warning is None
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 11: the boundary ring keeps all 256 vertices while the "
+                          "interior lattice is spaced 0.8 hmax; min angle 16.74 deg at hmax 0.1 "
+                          "and 7.07 deg at 0.2 (23.34 deg, no warning, at 0.03)")
+@pytest.mark.parametrize("hmax", [0.1, 0.2])
+def test_finely_sided_disk_meshes_without_warning_at_coarse_hmax(hmax):
+    assert polygon_mesh(geom2d.named("disk:256"), hmax).quality_warning is None
+
+
 def test_mesh_hmax_tracks_target(hull_polygon):
     for target in (0.1, 0.05):
         mesh = polygon_mesh(hull_polygon, target)

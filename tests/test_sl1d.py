@@ -404,6 +404,17 @@ def test_extrapolated_limits_assembles_each_grid_once(monkeypatch):
     assert sorted(sizes) == [128, 256, 512]
 
 
+@pytest.mark.parametrize("elements", [16, 34])
+def test_extrapolation_refuses_a_bad_count_before_any_solve(monkeypatch, elements):
+    """Below 32 the coarsest Richardson grid would have fewer than 8 elements;
+    a count not divisible by 4 has no quarter grid.  Neither assembles."""
+    sizes = _count_assemblies(monkeypatch)
+    for solver in (sl1d.mu1_extrapolated, sl1d.sigma1_extrapolated):
+        with pytest.raises(ValueError, match="element count must be divisible by 4"):
+            solver(profiles.triangular(0.3), elements)
+    assert sizes == []
+
+
 def test_equal_profiles_do_not_share_pencils(monkeypatch):
     """Profiles key the cache by identity: two equal profiles are two keys."""
     a, b = profiles.triangular(0.3), profiles.triangular(0.3)
