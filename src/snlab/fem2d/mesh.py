@@ -4,19 +4,25 @@ General polygons get an isotropic mesh: boundary edges subdivided to the
 target size, a hexagonal interior lattice clipped away from the boundary,
 Delaunay triangulation, and a few rounds of Laplacian smoothing.  Convexity
 makes Delaunay exact: the triangulated hull of the point set is the polygon
-itself.  qhull triangulates the points once, a copy of them jittered by
-``_JITTER`` (1e-10) of their bounding-box diagonal from a generator seeded
-with ``_JITTER_SEED``, since the exact lattice's ties cost qhull about half
-its time; the triangles that are flat on the exact points (qhull's caps on
-collinear boundary points) are dropped there.  From then on vectorized
-Lawson edge flips, with a final pass after the last round, keep the
-triangulation Delaunay and check that no element inverts, at a fraction of a
-qhull call.  The flips settle every in-circle tie on the diagonal through
-the quad's lowest point index (a symbolic perturbation, Edelsbrunner &
-Muecke 1990), and the triangles are returned in a canonical order, each
+itself.  The starting triangulation is seeded from the lattice: its own
+triangles come from index arithmetic on its (row, half-step column)
+coordinates, and qhull triangulates only the ring and the lattice's
+boundary layer, the points that lack one of their six lattice triangles.
+The clearance ``_CLEARANCE`` exceeds half the spacing ``_SPACING``, so every
+lattice edge is a Gabriel edge of what qhull sees, and its triangles that
+lie over lattice triangles are dropped.  qhull triangulates a copy of its
+points jittered by ``_JITTER`` (1e-10) of their bounding-box diagonal from a
+generator seeded with ``_JITTER_SEED``, since the exact lattice's ties cost
+qhull about half its time; the triangles that are flat on the exact points
+(qhull's caps on collinear boundary points) are dropped there.  From then on
+vectorized Lawson edge flips, with a final pass after the last round, keep
+the triangulation Delaunay and check that no element inverts, at a fraction
+of a qhull call.  The flips settle every in-circle tie on the diagonal
+through the quad's lowest point index (a symbolic perturbation, Edelsbrunner
+& Muecke 1990), and the triangles are returned in a canonical order, each
 rotated to start at its lowest index and the rows sorted: a polygon mesh is
-a function of its points (ring, then lattice), whatever triangulation qhull
-returns.
+a function of its points (ring, then lattice), whatever triangulation the
+flips start from.
 Every edge question (smoothing neighbours, edge flips, boundary edges,
 refinement midpoints, P2 connectivity) is answered by one table of unique
 edges keyed by int64 ``lo * n + hi``.
@@ -62,6 +68,10 @@ _INCIRCLE_TIE = 1e-12            # in-circle determinants this small against the
 # a mesh quad stay within a factor of about 10 of each other
 _TIE_BAND = 1e-6
 _SMOOTH_ROUNDS = 4               # smoothing rounds per polygon mesh
+_SPACING = 0.8                   # ring and lattice spacing, times hmax in the canonical frame
+# lattice points keep this clearance from the boundary, times hmax; above
+# _SPACING / 2, it makes every lattice edge a Gabriel edge of what qhull sees
+_CLEARANCE = 0.44
 _JITTER = 1e-10                  # qhull's copy of the points moves this much, times their diagonal
 _JITTER_SEED = 20260421          # the jitter's generator seed
 
@@ -186,9 +196,15 @@ def _boundary_ring(vertices: np.ndarray, h: float) -> np.ndarray:
     return (1 - t) * vertices[edge] + t * b[edge]
 
 
-def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.ndarray:
+def _interior_lattice(vertices: np.ndarray, h: float,
+                      clearance: float) -> tuple[np.ndarray, np.ndarray]:
     """Hexagonal lattice of spacing h over the bounding box, rows alternately
-    offset by h/4 and 3h/4, keeping the points at least ``clearance`` inside."""
+    offset by h/4 and 3h/4, keeping the points at least ``clearance`` inside.
+
+    Returns the kept points and their lattice coordinates, int64 (row r,
+    half-step column X): row r's k-th point has X = 2k + (r mod 2) and sits
+    at x = xmin + h/4 + X h/2.
+    """
     e = np.roll(vertices, -1, axis=0) - vertices
     normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
@@ -199,19 +215,30 @@ def _interior_lattice(vertices: np.ndarray, h: float, clearance: float) -> np.nd
     even, odd = (np.arange(xmin + offset * h, xmax, h) for offset in (0.25, 0.75))
     # rows take even and odd x-values in turn, so the x column is that pair cycled
     sizes = np.resize([even.size, odd.size], rows.size)
-    p = np.stack([np.resize(np.concatenate([even, odd]), sizes.sum()),
-                  np.repeat(rows, sizes)], axis=1)
+    n = int(sizes.sum())
+    p = np.stack([np.resize(np.concatenate([even, odd]), n), np.repeat(rows, sizes)], axis=1)
+    rc = np.stack([np.repeat(np.arange(rows.size), sizes),
+                   np.resize(np.concatenate([np.arange(0, 2 * even.size, 2),
+                                             np.arange(1, 2 * odd.size, 2)]), n)], axis=1)
     # signed distance to each edge line; inside a convex polygon the minimum
     # over edges is the distance to the boundary
     d = np.min(np.einsum("pk,ek->pe", p, normals)
                - np.einsum("ek,ek->e", normals, vertices), axis=1)
-    return p[d >= clearance]
+    keep = d >= clearance
+    return p[keep], rc[keep]
 
 
 def _delaunay(points: np.ndarray) -> np.ndarray:
     """A triangulation of ``points``, counterclockwise: qhull's, of a copy
     jittered by ``_JITTER`` times the bounding-box diagonal.
 
+    ``_seed`` hands it the ring and the lattice's boundary layer.  Each
+    lattice edge between two of them is a Gabriel edge of that set: its
+    diametral disk, of radius ``_SPACING / 2``, has its centre at least
+    ``_CLEARANCE`` inside the polygon (the boundary distance is concave) and
+    every other lattice point at least sqrt(3) / 2 spacings away.  So the
+    disk holds no other point, with a margin far above the jitter, and the
+    edge is in every Delaunay triangulation of the set, qhull's included.
     The lattice and the subdivided edges are full of exact ties, which cost
     qhull about half its time; the flips that follow settle every tie by
     index, so a jittered start gives the same mesh.  The jitter is drawn
@@ -233,6 +260,60 @@ def _delaunay(points: np.ndarray) -> np.ndarray:
     tris = tris[keep]
     if not np.bincount(tris.ravel(), minlength=len(points)).all():
         raise MeshError("triangulation leaves points unused")
+    return tris
+
+
+def _seed(points: np.ndarray, n_ring: int, rc: np.ndarray) -> np.ndarray:
+    """A triangulation of ``points``, counterclockwise: the ring's
+    ``n_ring`` points, then lattice points at lattice coordinates ``rc``
+    (see ``_interior_lattice``).
+
+    The lattice's own triangles come from index arithmetic on a grid: up
+    triangles (r, X), (r, X + 2), (r + 1, X + 1) and down triangles (r, X),
+    (r + 1, X + 1), (r + 1, X - 1) whose three corners were all kept.  A
+    point with all six of its triangles is interior; qhull (``_delaunay``)
+    triangulates the ring and the other lattice points, the boundary layer.
+    Every edge on the rim of the lattice triangles joins two boundary-layer
+    points and is a Gabriel edge of that set (see ``_delaunay``), so no qhull
+    triangle crosses the rim: each lies over lattice triangles or apart from
+    them.  A qhull
+    triangle is kept unless its centroid, looked up exactly in lattice
+    coordinates, falls in a lattice triangle that exists.  Raises
+    ``MeshError`` unless every point is a corner of a seed triangle.
+    """
+    r, x = rc.T
+    n_rows, n_cols = rc.max(axis=0, initial=0) + 1
+    # grid[r, X + 2] is the index of lattice point (r, X), -1 where none was kept
+    grid = np.full((n_rows + 1, n_cols + 4), -1)
+    grid[r, x + 2] = np.arange(n_ring, n_ring + len(rc))
+    kept = grid >= 0
+    up, down = np.zeros_like(kept), np.zeros_like(kept)
+    up[:-1, :-2] = kept[:-1, :-2] & kept[:-1, 2:] & kept[1:, 1:-1]
+    down[:-1, 1:-1] = kept[:-1, 1:-1] & kept[1:, 2:] & kept[1:, :-2]
+    (ui, uj), (di, dj) = np.nonzero(up), np.nonzero(down)
+    lattice = np.concatenate([
+        np.stack([grid[ui, uj], grid[ui, uj + 2], grid[ui + 1, uj + 1]], axis=1),
+        np.stack([grid[di, dj], grid[di + 1, dj + 1], grid[di + 1, dj - 1]], axis=1)])
+
+    corners = np.bincount(lattice.ravel() - n_ring, minlength=len(rc))
+    outer = np.concatenate([np.arange(n_ring), n_ring + np.flatnonzero(corners < 6)])
+    tris = outer[_delaunay(points[outer])]
+    # a qhull triangle with a ring corner lies apart from the lattice triangles;
+    # for the others, 3 times the centroid's (row v, half-step column u) is the
+    # integer sum of the corners' coordinates, so the lookup is exact
+    cand = np.flatnonzero(np.all(tris >= n_ring, axis=1))
+    v3, u3 = rc[tris[cand] - n_ring].sum(axis=1).T
+    r0 = v3 // 3
+    t3 = v3 - 3 * r0
+    # at height t above row r0, down(X) spans |u - X| <= t and up(X) the rest of
+    # [X, X + 2]; X = r0 + m is the anchor at or left of u, m even, f3 = 3 (u - X)
+    m = 2 * ((u3 - 3 * r0) // 6)
+    f3 = u3 - 3 * (r0 + m)
+    anchor = (r0, r0 + m + 2 + 2 * (f3 >= 6 - t3))
+    over = np.where((f3 <= t3) | (f3 >= 6 - t3), down[anchor], up[anchor])
+    tris = np.concatenate([lattice, np.delete(tris, cand[over], axis=0)])
+    if not np.bincount(tris.ravel(), minlength=len(points)).all():
+        raise MeshError("seed triangulation leaves points unused")
     return tris
 
 
@@ -317,21 +398,23 @@ def _lawson_flips(pts: np.ndarray, tris: np.ndarray, quads=None):
     raise MeshError(f"edge flips did not settle in {_MAX_FLIP_SWEEPS} sweeps")
 
 
-def _smooth(points: np.ndarray, n_fixed: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+def _smooth(points: np.ndarray, tris: np.ndarray, n_fixed: int,
+            rounds: int) -> tuple[np.ndarray, np.ndarray]:
     """Laplacian smoothing: every point after the first ``n_fixed`` moves to
     the mean of its Delaunay neighbours, ``rounds`` times.
 
-    qhull triangulates the input once; from then on Lawson flips keep the
-    triangles Delaunay, before each round and once more after the last, so
-    every round's motion meets the flips' inversion check.  A round changes
-    only a few edges, so the flips' edge table is handed from call to call.
-    The flips settle ties by index, so the triangles depend on the points
-    alone, not on the triangulation qhull starts them from.  Returns the
-    smoothed points and their triangles in a canonical order: each rotated
-    to start at its lowest index, orientation kept, and the rows sorted.
+    ``tris`` is any counterclockwise triangulation of ``points``, such as
+    ``_seed``'s; Lawson flips make it Delaunay before each round and once
+    more after the last, so every round's motion meets the flips' inversion
+    check.  A round changes only a few edges, so the flips' edge table is
+    handed from call to call.  The flips settle ties by index, so the
+    triangles depend on the points alone, not on the triangulation they
+    start from.  Returns the smoothed points and their triangles in a
+    canonical order: each rotated to start at its lowest index, orientation
+    kept, and the rows sorted.
     """
     n = points.shape[0]
-    tris, quads = _delaunay(points), None
+    quads = None
     for _ in range(rounds):
         tris, quads = _lawson_flips(points, tris, quads)
         # both directions of every unique edge, by (vertex, neighbour): each
@@ -371,10 +454,10 @@ def polygon_mesh(poly: ConvexPolygon, hmax: float) -> TriangleMesh:
     canon = (v - [cx, cy]) @ rot.T / scale
     h = hmax / scale
 
-    ring = _boundary_ring(canon, 0.8 * h)
-    inner = _interior_lattice(canon, 0.8 * h, clearance=0.44 * h)
+    ring = _boundary_ring(canon, _SPACING * h)
+    inner, rc = _interior_lattice(canon, _SPACING * h, clearance=_CLEARANCE * h)
     pts = np.concatenate([ring, inner])
-    pts, tris = _smooth(pts, ring.shape[0], _SMOOTH_ROUNDS)
+    pts, tris = _smooth(pts, _seed(pts, len(ring), rc), len(ring), _SMOOTH_ROUNDS)
 
     covered = 0.5 * _signed_areas(pts, tris).sum()
     target = 0.5 * float(np.abs((canon[:, 0] * np.roll(canon[:, 1], -1)

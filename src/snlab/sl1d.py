@@ -284,12 +284,18 @@ def sigma1(h: ProfileH, elements: int = 1024) -> SpectralResult:
     return _solve_pencil(_pencils(h, elements)[1])
 
 
-def _extrapolate(solver, h: ProfileH, elements: int) -> float:
-    """Two-step Richardson extrapolation of the order-2 discretization on the
-    grids n = elements, elements/2, elements/4, the last at least 8."""
+def _richardson_grids(elements: int) -> tuple[int, int, int]:
+    """The grids n = elements, elements/2, elements/4 of a Richardson limit,
+    the last at least 8; raises ``ValueError`` for any other count."""
     if elements % 4 or elements < 32:
         raise ValueError("element count must be divisible by 4 and at least 32")
-    v4, v2, v1 = (solver(h, n).eigenvalue for n in (elements, elements // 2, elements // 4))
+    return elements, elements // 2, elements // 4
+
+
+def _extrapolate(solver, h: ProfileH, elements: int) -> float:
+    """Two-step Richardson extrapolation of the order-2 discretization on
+    ``_richardson_grids(elements)``."""
+    v4, v2, v1 = (solver(h, n).eigenvalue for n in _richardson_grids(elements))
     e2 = (4.0 * v4 - v2) / 3.0
     e1 = (4.0 * v2 - v1) / 3.0
     return (16.0 * e2 - e1) / 15.0

@@ -1,5 +1,6 @@
 """Domain records and collapsing-domain sweeps against the 1D limits."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -205,7 +206,7 @@ def test_thin_sweep_rejects_bad_eps_before_any_solve(monkeypatch, eps_list):
 
 @pytest.mark.parametrize("elements_1d", [16, 30])
 def test_thin_sweep_rejects_bad_elements_1d_before_any_strip(monkeypatch, elements_1d):
-    """The 1D limits come right after the eps checks, so a count the
+    """``elements_1d`` is checked right after the eps values, so a count the
     Richardson grids cannot halve twice fails before any 1D or 2D work."""
     def never(*args, **kwargs):
         raise AssertionError("worked before elements_1d was checked")
@@ -215,6 +216,30 @@ def test_thin_sweep_rejects_bad_elements_1d_before_any_strip(monkeypatch, elemen
     half = profiles.scale(profiles.resolve("parabolic"), 0.5)
     with pytest.raises(ValueError, match="element count must be divisible by 4"):
         thin_sweep(half, half, (0.2, 0.1, 0.05), dx0=0.005, elements_1d=elements_1d)
+
+
+def sweep_with_limits_first(hplus, hminus, eps_list, dx0, elements_1d):
+    """``thin_sweep`` as it was when the 1D limits came before the strips."""
+    limits = sl1d.extrapolated_limits(profiles.add(hplus, hminus), elements_1d)
+    rows = []
+    for eps, (mesh, system) in zip(eps_list, _stretched(thin_mesh(hplus, hminus, dx0), eps_list)):
+        geo = geom2d.functionals(geom2d.thin_domain(hplus, hminus, eps))
+        rec = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
+        rows.append((rec.mu1, 2.0 * rec.sigma1 / eps, rec.F))
+    mu, scaled, F = zip(*rows)
+    return functional.ThinSweep(tuple(eps_list), mu, scaled, F, aitken(mu), aitken(scaled),
+                                aitken(F), *limits)
+
+
+@pytest.mark.parametrize("name", STRIP_PAIRS)
+def test_thin_sweep_with_limits_last_matches_limits_first(name):
+    """Computing the 1D limits after the strips changes no field of the sweep."""
+    hplus, hminus = STRIP_PAIRS[name]
+    got = thin_sweep(hplus, hminus, (0.2, 0.1, 0.05), dx0=0.02, elements_1d=256)
+    want = sweep_with_limits_first(hplus, hminus, (0.2, 0.1, 0.05), 0.02, 256)
+    for field in dataclasses.fields(functional.ThinSweep):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array(a).tobytes() == np.array(b).tobytes(), field.name
 
 
 @pytest.mark.xfail(strict=True, raises=FEMError,

@@ -347,6 +347,7 @@ def _boundary_ring_by_point_loop(vertices, h):
 
 
 def _interior_lattice_by_row_loop(vertices, h, clearance):
+    """The kept points and their (row, half-step column) coordinates."""
     e = np.roll(vertices, -1, axis=0) - vertices
     normals = np.stack([-e[:, 1], e[:, 0]], axis=1)
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
@@ -354,24 +355,27 @@ def _interior_lattice_by_row_loop(vertices, h, clearance):
     xmax, ymax = vertices.max(axis=0)
     dy = h * np.sqrt(3.0) / 2.0
     rows = np.arange(ymin + dy / 2, ymax, dy)
-    pts = []
+    pts, coords = [], []
     for j, y in enumerate(rows):
         xs = np.arange(xmin + (0.25 + 0.5 * (j % 2)) * h, xmax, h)
         pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
+        coords += [(j, 2 * k + j % 2) for k in range(xs.size)]
     if not pts:
-        return np.empty((0, 2))
+        return np.empty((0, 2)), np.empty((0, 2), dtype=np.int64)
     p = np.concatenate(pts)
     d = np.min(np.einsum("pk,ek->pe", p, normals)
                - np.einsum("ek,ek->e", normals, vertices), axis=1)
-    return p[d >= clearance]
+    return p[d >= clearance], np.array(coords, dtype=np.int64).reshape(-1, 2)[d >= clearance]
 
 
 def test_interior_lattice_matches_row_loop():
     for family in diagram.FAMILIES:
         for _, _, poly in diagram._sample_shapes(diagram.Campaign(family, 12, seed=3)):
             for h in (0.024, 0.1, 0.7, 5.0):
-                assert np.array_equal(mesh_mod._interior_lattice(poly.vertices, h, 0.44 * h),
-                                      _interior_lattice_by_row_loop(poly.vertices, h, 0.44 * h))
+                got = mesh_mod._interior_lattice(poly.vertices, h, mesh_mod._CLEARANCE * h)
+                want = _interior_lattice_by_row_loop(poly.vertices, h, mesh_mod._CLEARANCE * h)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_boundary_ring_matches_point_loop():
@@ -455,14 +459,15 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     qhull on its final points, whose flat caps on collinear hull points the
     dict route repairs: they agree as sets up to in-circle ties, and every
     tie keeps the diagonal through its lowest index.  The one qhull call, on
-    a jittered copy, gives triangles positive on the exact points that match
-    the sliver repair of the dict route on those points up to ties.  P2
-    connectivity matches the dict route bit for bit."""
+    a jittered copy of the ring and the lattice's boundary layer, gives
+    triangles positive on the exact points that match the sliver repair of
+    the dict route on those points up to ties.  P2 connectivity matches the
+    dict route bit for bit."""
     smooth, delaunay = mesh_mod._smooth, mesh_mod._delaunay
     seen = []
 
-    def checked_smooth(points, n_fixed, rounds):
-        got = smooth(points, n_fixed, rounds)
+    def checked_smooth(points, tris, n_fixed, rounds):
+        got = smooth(points, tris, n_fixed, rounds)
         want = _smooth_by_vertex_loop(points, n_fixed, rounds)
         assert np.abs(got[0] - want[0]).max() <= 4 * np.spacing(np.abs(want[0]).max())
         repaired = _repair_slivers_by_edge_dict(*want)
@@ -476,10 +481,17 @@ def test_polygon_mesh_array_routes_match_loop_references(name, poly, monkeypatch
     def checked_delaunay(pts):
         got = delaunay(pts)
         want = _repair_slivers_by_edge_dict(pts, mesh_mod.Delaunay(pts).simplices)
+        want = _orient_ccw(pts, want)
         assert np.all(mesh_mod._signed_areas(pts, got) > 0)
         assert len(got) == len(want)
-        if not _assert_equal_up_to_ties(pts, got, want, set()):
-            assert _triangle_set(got) == _triangle_set(want)
+        # the holes over full hexagons put six or more points on one circle, so
+        # the two may split them differently: both pass every in-circle test up
+        # to ties, and the tie rule's flips take both to the same triangles
+        for tris in (got, want):
+            a, b, c, d = _interior_quads(tris).T
+            assert not mesh_mod._incircle_fails(pts, a, b, c, d).any()
+        assert (_triangle_set(mesh_mod._lawson_flips(pts, got)[0])
+                == _triangle_set(mesh_mod._lawson_flips(pts, want)[0]))
         seen.append(len(got))
         return got
 
@@ -511,9 +523,9 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
     flips, smooth = mesh_mod._lawson_flips, mesh_mod._smooth
     fixed, rounds = [], []
 
-    def recording_smooth(points, n_fixed, n_rounds):
+    def recording_smooth(points, tris, n_fixed, n_rounds):
         fixed.append(n_fixed)
-        return smooth(points, n_fixed, n_rounds)
+        return smooth(points, tris, n_fixed, n_rounds)
 
     def recording_flips(pts, tris, quads=None):
         out = flips(pts, tris, quads)
@@ -534,6 +546,9 @@ def test_flipped_triangulation_matches_fresh_delaunay_every_round(name, poly, mo
 
 
 def test_polygon_mesh_calls_qhull_once(monkeypatch):
+    """qhull sees the ring and the lattice's boundary layer, once per mesh:
+    fewer points than the mesh has nodes where the lattice has full
+    hexagons, and all of them on TIE_CASE's thin rectangle, which has none."""
     calls = []
     delaunay = mesh_mod.Delaunay
 
@@ -542,8 +557,76 @@ def test_polygon_mesh_calls_qhull_once(monkeypatch):
         return delaunay(points)
 
     monkeypatch.setattr(mesh_mod, "Delaunay", counting_delaunay)
-    polygon_mesh(REFERENCE_POLYGONS[1][1], 0.03)
-    assert len(calls) == 1
+    mesh = polygon_mesh(REFERENCE_POLYGONS[1][1], 0.03)
+    assert len(calls) == 1 and calls[0] < mesh.n_nodes
+    mesh = drift_corpus()[TIE_CASE]()
+    assert len(calls) == 2 and calls[1] == mesh.n_nodes
+
+
+def test_lattice_edges_are_gabriel_edges_of_what_qhull_sees():
+    """The seed rests on this inequality: a lattice edge's midpoint keeps the
+    clearance from the boundary, which must exceed the radius of the edge's
+    diametral disk, half the spacing."""
+    assert mesh_mod._CLEARANCE > mesh_mod._SPACING / 2
+
+
+def _notched_lattice():
+    """Rows 0-6 of a lattice of unit spacing, half-step columns 0-12, with a
+    notch cut into the right side of rows 2-4: the points and their
+    lattice coordinates."""
+    rc = np.array([(r, x) for r in range(7) for x in range(r % 2, 13, 2)
+                   if not (2 <= r <= 4 and x >= 9)])
+    return np.stack([0.5 * rc[:, 1], 0.5 * np.sqrt(3.0) * rc[:, 0]], axis=1), rc
+
+
+def test_seed_keeps_the_notchs_qhull_triangles_and_drops_those_over_full_hexagons():
+    """Without a ring, qhull sees the lattice points that lack one of their
+    six triangles.  The seed is every lattice triangle plus the qhull
+    triangles whose centroid lies in none of them: those filling the notch
+    are kept, those over the full hexagons (and over lattice triangles of
+    the boundary layer) dropped."""
+    points, rc = _notched_lattice()
+    index = {(r, x): i for i, (r, x) in enumerate(rc.tolist())}
+    lattice = [(index[r, x], index[r, x + 2], index[r + 1, x + 1])
+               for r, x in index if (r, x + 2) in index and (r + 1, x + 1) in index]
+    lattice += [(index[r, x], index[r + 1, x + 1], index[r + 1, x - 1])
+                for r, x in index if (r + 1, x + 1) in index and (r + 1, x - 1) in index]
+    corners = np.bincount(np.ravel(lattice), minlength=len(points))
+    outer = np.flatnonzero(corners < 6)
+    qhull = outer[mesh_mod._delaunay(points[outer])]
+
+    # barycentric coordinates of every qhull centroid in every lattice triangle
+    a, b, c = (points[list(k)] for k in zip(*lattice))
+    centroid = points[qhull].mean(axis=1)[:, None]
+    area2 = mesh_mod._signed_areas(points, np.array(lattice))
+    bary = [((q - p)[..., 0] * (centroid - p)[..., 1] - (q - p)[..., 1] * (centroid - p)[..., 0])
+            / area2 for p, q in ((a, b), (b, c), (c, a))]
+    over = np.any(np.all(np.array(bary) >= -1e-12, axis=0), axis=1)
+
+    seed = mesh_mod._seed(points, 0, rc)
+    assert len(outer) < len(points) and over.any() and not over.all()
+    assert len(seed) == len(lattice) + np.count_nonzero(~over)
+    assert _triangle_set(seed) == _triangle_set(lattice) | _triangle_set(qhull[~over])
+    assert np.all(mesh_mod._signed_areas(points, seed) > 0)
+    # between rows 1 and 5, right of half-step column 8.5, only qhull's
+    # triangles fill the notch
+    u, v = (points[seed].mean(axis=1) / [0.5, 0.5 * np.sqrt(3.0)]).T
+    notch = seed[(u > 8.5) & (v > 1.0) & (v < 5.0)]
+    assert len(notch) >= 3 and _triangle_set(notch) <= _triangle_set(qhull[~over])
+
+
+def test_seed_leaving_a_point_unused_raises(monkeypatch):
+    """A qhull triangulation that leaves out ring point 0 is caught by the
+    seed's own check."""
+    delaunay = mesh_mod._delaunay
+
+    def without_point_0(points):
+        tris = delaunay(points)
+        return tris[~np.any(tris == 0, axis=1)]
+
+    monkeypatch.setattr(mesh_mod, "_delaunay", without_point_0)
+    with pytest.raises(MeshError, match="seed triangulation leaves points unused"):
+        polygon_mesh(geom2d.resolve("square"), 0.1)
 
 
 @pytest.mark.parametrize("name, poly", FLIP_CASES, ids=[n for n, _ in FLIP_CASES])
@@ -606,9 +689,10 @@ def _jittered_qhull(amount):
 def test_polygon_meshes_do_not_depend_on_qhulls_triangulation(monkeypatch):
     """Every drift-corpus polygon mesh is bit for bit the same whether qhull
     triangulates the exact points, the module's jittered copy or a copy
-    jittered 100 times more: the flips settle each tie by index, and the
-    triangles come in canonical order, each from its lowest index with the
-    rows sorted."""
+    jittered 100 times more, and whether smoothing starts from the lattice
+    seed or from qhull on all points: the flips settle each tie by index,
+    and the triangles come in canonical order, each from its lowest index
+    with the rows sorted."""
     makers = {name: make for name, make in drift_corpus().items() if not name.startswith("strip-")}
     want = {name: make() for name, make in makers.items()}
     for tris in (mesh.triangles for mesh in want.values()):
@@ -617,10 +701,15 @@ def test_polygon_meshes_do_not_depend_on_qhulls_triangulation(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(mesh_mod, "_JITTER", 0.0, raising=False)
         exact = {name: make() for name, make in makers.items()}
+    smooth, delaunay = mesh_mod._smooth, mesh_mod._delaunay
+    with monkeypatch.context() as m:
+        m.setattr(mesh_mod, "_smooth", lambda points, tris, n_fixed, rounds:
+                  smooth(points, delaunay(points), n_fixed, rounds))
+        unseeded = {name: make() for name, make in makers.items()}
     monkeypatch.setattr(mesh_mod, "Delaunay", _jittered_qhull(1e-8))
     coarse = {name: make() for name, make in makers.items()}
     for name, mesh in want.items():
-        for other in (exact[name], coarse[name]):
+        for other in (exact[name], unseeded[name], coarse[name]):
             assert np.array_equal(other.nodes, mesh.nodes), name
             assert np.array_equal(other.triangles, mesh.triangles), name
 
@@ -774,8 +863,9 @@ def test_points_only_on_caps_raise(monkeypatch):
 
 
 def test_point_left_out_without_caps_raises(monkeypatch):
-    """A triangulation that skips the last point (an interior lattice point)
-    and has no caps still covers the polygon, but leaves a node unused."""
+    """A triangulation that skips the last point (a lattice point of the
+    boundary layer) and has no caps still covers the polygon, but leaves a
+    node unused."""
     delaunay = mesh_mod.Delaunay
 
     def leaving_one_out(points):
