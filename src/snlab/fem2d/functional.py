@@ -16,6 +16,7 @@ and F(strip) -> F(h).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .. import geom2d, profiles, sl1d
@@ -23,7 +24,7 @@ from ..geom2d import ConvexPolygon
 from ..profiles import ProfileH
 from .assemble import FEMSystem, _stretched, assemble
 from .mesh import _require_positive, polygon_mesh, refine, thin_mesh
-from .solve import neumann_mu1, steklov_sigma1
+from .solve import _steklov_factor_ahead, neumann_mu1, steklov_sigma1
 
 # the reported fields of a record, in output order (``as_dict``, the diagram CSV)
 RECORD_COLUMNS = ("area", "perimeter", "diameter", "width", "inradius",
@@ -60,13 +61,35 @@ class DomainRecord:
         return {k: getattr(self, k) for k in RECORD_COLUMNS}
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def record_from_system(system: FEMSystem, geo: geom2d.GeometryFunctionals, hmax: float,
                        warning: str | None) -> DomainRecord:
     """Record of an assembled domain with geometry ``geo``, meshed at ``hmax``
     with quality ``warning``: (mu1, sigma1, x, y, F), their residuals, the
-    solvers' operator applications, their factors' fill and their shifts."""
-    mu = neumann_mu1(system)
-    sg = steklov_sigma1(system)
+    solvers' operator applications, their factors' fill and their shifts.
+
+    Where the process may use at least two CPUs, a SuperLU system's Steklov
+    factor step (the bound, the shift and the factor of K - sB) runs on a
+    worker thread while this thread solves the Neumann pencil; SuperLU
+    releases the GIL while it factors.  The worker is joined when the
+    Steklov solve is done or a Neumann error is raised, so none outlives the
+    record, and the record is bit for bit the one the two solves give in
+    turn.  A stretched strip's banded factor holds the GIL, so strips, like
+    single-CPU runs, solve both pencils on this thread alone.
+    """
+    if system.band is not None or _usable_cpus() < 2:
+        mu = neumann_mu1(system)
+        sg = steklov_sigma1(system)
+    else:
+        with _steklov_factor_ahead(system) as factor:
+            mu = neumann_mu1(system)
+            sg = steklov_sigma1(system, _factor=factor)
     x = sg.eigenvalue * geo.perimeter
     y = mu.eigenvalue * geo.area
     return DomainRecord(

@@ -29,6 +29,22 @@ factors, and the system chooses which:
   its defaults (``_RELAX``, ``_PANEL``) and its threshold pivoting, which
   the indefinite K - sW needs (unpivoted, a disk's residual grew 25-fold).
 
+The bound, the shift and the factor make one step, ``_factor_step``, and the
+Lanczos run, the guard and the residual another.  ``neumann_mu1`` and
+``steklov_sigma1`` called alone take both in turn on the calling thread.
+``record_from_system`` has a SuperLU system's Steklov factor step made on a
+second thread (``_steklov_factor_ahead``) while its own thread solves the
+Neumann pencil, and hands the future to ``steklov_sigma1(system,
+_factor=...)``: SuperLU releases the GIL while it factors.  The second thread
+calls no public function of this module, so the calls of each thread still
+nest, and it lives until the Steklov solve is done, because scipy's SuperLU
+frees a factor's memory only on the thread that made it (freed elsewhere,
+each campaign sample's factor stayed resident: 3 MB more per sample).  A
+strip stays on one thread, because LAPACK's ``dgbtrf`` holds the GIL through
+f2py, so a second thread only added its cost (the solve stage of the nine
+``thin`` strips took 5% longer); so does a process with one usable CPU, where
+the two steps can only take turns (4% longer on campaign samples).
+
 The operator is
 
     OP = (K - sW)^-1 W,    OP x = nu x  with  nu = 1 / (lambda - s),
@@ -82,6 +98,9 @@ Residuals are always reported against the full pencil.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,27 +222,42 @@ def _banded(K, W, w_flat, shift, band: BandLayout, kind: str):
     return solve, ab.size
 
 
-def _first_nonzero(K, W, coords, kind: str, band, w_flat) -> EigenPair2D:
-    """Smallest nonzero eigenvalue of (K, W), CSC matrices, with the dofs at
-    ``coords``; certified by the guard and the full-pencil residual.  With a
-    ``band`` layout, in which W's entries sit at ``w_flat``, K - sW takes the
-    banded factor; with None, SuperLU's."""
-    n = K.shape[0]
-    w1 = W @ np.ones(n)
+def _shifted_factor(K, W, w_flat, shift, band, kind: str):
+    """The factor of K - sW, (solve, entries): banded with a ``band`` layout,
+    in which W's entries sit at ``w_flat``; SuperLU's with None."""
+    if band is None:
+        return _superlu(K, W, shift, kind)
+    return _banded(K, W, w_flat, shift, band, kind)
+
+
+def _factor_step(K, W, coords, kind: str, band, w_flat):
+    """The first step of ``_first_nonzero``: W times the constants, the bound
+    rho >= lambda_1 and the factor of K - sW at s = ``_SHIFT_FRACTION`` rho,
+    as (w1, rho, (solve, entries))."""
+    w1 = W @ np.ones(K.shape[0])
     X = coords - (w1 @ coords) / w1.sum()
     rho = float(eigh(X.T @ (K @ X), X.T @ (W @ X), eigvals_only=True)[0])
     if not 0 < rho < np.inf:
         raise FEMError(f"{kind} Rayleigh-quotient bound {rho} is not finite and positive")
-    z = np.full(n, 1.0 / np.sqrt(w1.sum()))
-    v0 = np.random.default_rng(0x5EED).standard_normal(n)
-    for shift in (_SHIFT_FRACTION * rho, -0.5 * rho):
-        if band is None:
-            solve, lu_nnz = _superlu(K, W, shift, kind)
-        else:
-            solve, lu_nnz = _banded(K, W, w_flat, shift, band, kind)
+    return w1, rho, _shifted_factor(K, W, w_flat, _SHIFT_FRACTION * rho, band, kind)
+
+
+def _first_nonzero(K, W, coords, kind: str, band, w_flat, factor=None) -> EigenPair2D:
+    """Smallest nonzero eigenvalue of (K, W), CSC matrices, with the dofs at
+    ``coords``; certified by the guard and the full-pencil residual.  With a
+    ``band`` layout, in which W's entries sit at ``w_flat``, K - sW takes the
+    banded factor; with None, SuperLU's.  ``factor``, when given, is a future
+    of ``_factor_step``'s result, made elsewhere; its error is raised here."""
+    w1, rho, (solve, lu_nnz) = (_factor_step(K, W, coords, kind, band, w_flat)
+                                if factor is None else factor.result())
+    z = np.full(K.shape[0], 1.0 / np.sqrt(w1.sum()))
+    v0 = np.random.default_rng(0x5EED).standard_normal(K.shape[0])
+    shift = _SHIFT_FRACTION * rho
+    nu, vec, steps = _lanczos(solve, W, v0, z, kind)
+    if nu[0] < 0:                    # an eigenvalue in (0, s)
+        shift = -0.5 * rho
+        solve, lu_nnz = _shifted_factor(K, W, w_flat, shift, band, kind)
         nu, vec, steps = _lanczos(solve, W, v0, z, kind)
-        if nu[0] >= 0:               # no eigenvalue in (0, s)
-            break
     lam = shift + 1.0 / float(nu[-1])
     res = _relative_residual(K, W, lam, vec)
     if res > RESIDUAL_TOL:
@@ -237,6 +271,41 @@ def neumann_mu1(system: FEMSystem) -> EigenPair2D:
     return _first_nonzero(system.K, system.M, system.nodes, "neumann", system.band, m_flat)
 
 
-def steklov_sigma1(system: FEMSystem) -> EigenPair2D:
+def _steklov_args(system: FEMSystem) -> tuple:
     b_flat = None if system.band is None else system.band.b_flat
-    return _first_nonzero(system.K, system.B, system.nodes, "steklov", system.band, b_flat)
+    return system.K, system.B, system.nodes, "steklov", system.band, b_flat
+
+
+@contextmanager
+def _steklov_factor_ahead(system: FEMSystem):
+    """A future of the Steklov factor step of ``system``, made on a worker
+    thread while the block runs; pass it to ``steklov_sigma1`` inside the
+    block.  scipy's SuperLU frees a factor's memory only on the thread that
+    made it, so the worker keeps the factor's one reference and drops it
+    when the block exits; the solve it hands out reaches the factor through
+    that reference."""
+    made, release = Future(), threading.Event()
+
+    def own():
+        try:
+            w1, rho, (solve, lu_nnz) = _factor_step(*_steklov_args(system))
+        except BaseException as exc:      # raised where the future is read
+            made.set_exception(exc)
+            return
+        held = [solve]
+        made.set_result((w1, rho, (lambda b: held[0](b), lu_nnz)))
+        release.wait()
+        held.clear()                      # the handed-out solve keeps only the list
+
+    worker = threading.Thread(target=own, name="steklov-factor")
+    worker.start()
+    try:
+        yield made
+    finally:
+        release.set()
+        worker.join()
+
+
+def steklov_sigma1(system: FEMSystem, *, _factor=None) -> EigenPair2D:
+    """``_factor``: a future from ``_steklov_factor_ahead(system)``."""
+    return _first_nonzero(*_steklov_args(system), factor=_factor)

@@ -42,25 +42,32 @@ def drift_strips() -> dict:
             for label, eps in strips}
 
 
+def drift_polygons() -> dict:
+    """The polygons of ``drift_corpus``: name -> (polygon, hmax)."""
+    polygons = {}
+    campaigns = [("seed7-", diagram.Campaign("randomPolygon", 40, seed=7, hmax=0.03))]
+    campaigns += [("", diagram.Campaign(family, 12, seed=3, hmax=0.03))
+                  for family in diagram.FAMILIES if family != "randomPolygon"]
+    for prefix, campaign in campaigns:
+        for sid, _, poly in diagram._sample_shapes(campaign):
+            polygons[prefix + sid] = (poly, campaign.hmax)
+    return polygons
+
+
 def drift_corpus() -> dict:
     """The corpus on which changes to meshing or solving measure their drift:
     name -> zero-argument function that meshes the domain.
 
     - 100 polygons at hmax 0.03: 40 seed-7 randomPolygon samples, named
       ``seed7-randomPolygon-0000`` ..., and 12 seed-3 samples of each other
-      family, named by their campaign ids;
+      family, named by their campaign ids (``drift_polygons``);
     - the nine strips of the ``thin`` benchmark workload, halves of tent 0.5,
       tent 0.3 and the constant at eps 0.2, 0.1 and 0.05, dx0 0.005;
     - the parabolic strip at eps 0.2, dx0 0.005 (36k dofs);
     the strips are ``strip_mesh``es, the meshes that ``thin_sweep`` solves.
     """
-    corpus = {}
-    campaigns = [("seed7-", diagram.Campaign("randomPolygon", 40, seed=7, hmax=0.03))]
-    campaigns += [("", diagram.Campaign(family, 12, seed=3, hmax=0.03))
-                  for family in diagram.FAMILIES if family != "randomPolygon"]
-    for prefix, campaign in campaigns:
-        for sid, _, poly in diagram._sample_shapes(campaign):
-            corpus[prefix + sid] = lambda poly=poly, hmax=campaign.hmax: polygon_mesh(poly, hmax)
+    corpus = {name: lambda poly=poly, hmax=hmax: polygon_mesh(poly, hmax)
+              for name, (poly, hmax) in drift_polygons().items()}
     for name, (half, eps) in drift_strips().items():
         corpus[name] = lambda half=half, eps=eps: strip_mesh(half, half, eps, dx0=0.005)
     return corpus

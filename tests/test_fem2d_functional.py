@@ -4,12 +4,13 @@ import dataclasses
 import importlib
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
-from conftest import strip_mesh
+from conftest import drift_polygons, strip_mesh
 
-from snlab import bessel, geom2d, profiles, sl1d
+from snlab import bessel, diagram, geom2d, profiles, sl1d
 from snlab.cli import main
 from snlab.fem2d import (F_of_domain, FEMError, MeshError, assemble, functional,
                          polygon_mesh, record_from_mesh, record_from_system, refine,
@@ -19,6 +20,7 @@ from snlab.fem2d.functional import aitken
 
 # the package's ``assemble`` function shadows its module
 assemble_mod = importlib.import_module("snlab.fem2d.assemble")
+solve_mod = importlib.import_module("snlab.fem2d.solve")
 
 
 def test_record_fields_consistent(hull_polygon):
@@ -257,3 +259,166 @@ def test_record_from_mesh_is_assembly_then_record_from_system():
     geo = geom2d.functionals(square)
     assert record_from_mesh(mesh, geo) == record_from_system(
         assemble(mesh), geo, mesh.hmax(), mesh.quality_warning)
+
+
+# --- the Steklov factor made on a worker thread while Neumann is solved ---
+
+
+def sequential_record(system, geo, hmax, warning):
+    """The record of ``neumann_mu1`` and then ``steklov_sigma1``, both on
+    this thread, built without ``record_from_system``."""
+    mu, sg = solve_mod.neumann_mu1(system), solve_mod.steklov_sigma1(system)
+    x, y = sg.eigenvalue * geo.perimeter, mu.eigenvalue * geo.area
+    return functional.DomainRecord(
+        area=geo.area, perimeter=geo.perimeter, diameter=geo.diameter,
+        width=geo.width, inradius=geo.inradius,
+        mu1=mu.eigenvalue, sigma1=sg.eigenvalue, x=x, y=y, F=y / x,
+        dofs=system.n_dofs, hmax=hmax,
+        mu_residual=mu.residual, sigma_residual=sg.residual,
+        mu_iterations=mu.iterations, sigma_iterations=sg.iterations,
+        mu_lu_nnz=mu.lu_nnz, sigma_lu_nnz=sg.lu_nnz,
+        mu_shift=mu.shift, sigma_shift=sg.shift, warning=warning)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def counting(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+@pytest.fixture
+def superlu_lifetimes(monkeypatch):
+    """(thread that made it, thread that freed it) of each SuperLU factor
+    freed while the test runs."""
+    lifetimes, splu = [], solve_mod.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+            self.made = threading.current_thread().name
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+        def __del__(self):
+            lifetimes.append((self.made, threading.current_thread().name))
+
+    monkeypatch.setattr(solve_mod, "splu", lambda *a, **kw: Factor(splu(*a, **kw)))
+    return lifetimes
+
+
+def _assert_bit_identical(got, want, name):
+    for field in dataclasses.fields(functional.DomainRecord):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "warning":
+            assert a == b, (name, field.name)
+        else:
+            assert np.array(a).tobytes() == np.array(b).tobytes(), (name, field.name)
+
+
+def test_record_on_two_cpus_is_bit_identical_to_the_sequential_solves(
+        monkeypatch, thread_starts):
+    """Every field of every drift-corpus polygon's record, and of T1, the
+    square and ``disk:6``, is bit for bit that of the two solves in turn,
+    whether the Steklov factor is made on a worker thread (two CPUs) or
+    inline (one CPU); one thread is started per record on two CPUs, none on
+    one, and none outlives a record."""
+    shapes = {spec: (geom2d.resolve(spec), 0.05) for spec in ("T1", "square", "disk:6")}
+    polygons = drift_polygons()
+    assert len(polygons) == 100
+    threads = threading.active_count()
+    for name, (poly, hmax) in {**polygons, **shapes}.items():
+        mesh = polygon_mesh(poly, hmax)
+        geo = geom2d.functionals(poly)
+        system = assemble(mesh)
+        want = sequential_record(system, geo, mesh.hmax(), mesh.quality_warning)
+        for cpus in (1, 2):
+            monkeypatch.setattr(functional, "_usable_cpus", lambda cpus=cpus: cpus)
+            del thread_starts[:]
+            got = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
+            assert len(thread_starts) == cpus - 1, (name, cpus)
+            assert threading.active_count() == threads, (name, cpus)
+            _assert_bit_identical(got, want, f"{name} on {cpus} CPUs")
+
+
+def test_a_strip_record_starts_no_thread(monkeypatch, thread_starts):
+    """A stretched strip's banded factor holds the GIL, so its record solves
+    both pencils on the calling thread even with two CPUs."""
+    monkeypatch.setattr(functional, "_usable_cpus", lambda: 2)
+    half = _HALF["tent:0.5"]
+    eps = (0.2,)
+    (mesh, system), = _stretched(thin_mesh(half, half, 0.02), eps)
+    assert system.band is not None
+    geo = geom2d.functionals(geom2d.thin_domain(half, half, eps[0]))
+    got = record_from_system(system, geo, mesh.hmax(), mesh.quality_warning)
+    assert thread_starts == []
+    _assert_bit_identical(got, sequential_record(system, geo, mesh.hmax(),
+                                                 mesh.quality_warning), "strip")
+
+
+@pytest.mark.parametrize("steklov_fails", [False, True])
+def test_the_steklov_factor_is_freed_on_the_thread_that_made_it(
+        monkeypatch, superlu_lifetimes, steklov_fails):
+    """scipy's SuperLU frees a factor's memory only on the thread that made
+    it, so the worker that makes the Steklov factor also frees it, after the
+    Steklov solve, whether that solve succeeds or raises."""
+    lanczos = solve_mod._lanczos
+
+    def lanczos_failing_steklov(solve, W, v0, z, kind):
+        out = lanczos(solve, W, v0, z, kind)
+        if kind == "steklov" and steklov_fails:
+            raise FEMError("steklov Lanczos did not converge in 100 steps")
+        return out
+
+    monkeypatch.setattr(solve_mod, "_lanczos", lanczos_failing_steklov)
+    monkeypatch.setattr(functional, "_usable_cpus", lambda: 2)
+    try:
+        F_of_domain(geom2d.resolve("square"), hmax=0.2)
+    except FEMError as exc:
+        assert steklov_fails and str(exc) == "steklov Lanczos did not converge in 100 steps"
+    else:
+        assert not steklov_fails
+    assert sorted(superlu_lifetimes) == [("MainThread", "MainThread"),
+                                         ("steklov-factor", "steklov-factor")]
+
+
+@pytest.mark.parametrize("failing", [("neumann",), ("steklov",), ("neumann", "steklov")])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_record_errors_match_the_sequential_solves(
+        monkeypatch, thread_starts, superlu_lifetimes, failing, cpus):
+    """When SuperLU finds a singular factor for the ``failing`` pencils, the
+    Neumann error wins, a Steklov factor error reaches the caller with its
+    own message, the campaign's sample error reads the same on one CPU and
+    on two, no thread outlives the record, and every factor made is freed
+    on its own thread."""
+    superlu = solve_mod._superlu
+
+    def singular_for(K, W, shift, kind):
+        if kind in failing:   # K - sW with every entry dropped: "exactly singular"
+            return superlu(0.0 * K, 0.0 * W, shift, kind)
+        return superlu(K, W, shift, kind)
+
+    monkeypatch.setattr(solve_mod, "_superlu", singular_for)
+    monkeypatch.setattr(functional, "_usable_cpus", lambda: cpus)
+    kind = failing[0]
+    square = geom2d.resolve("square")
+    threads = threading.active_count()
+    with pytest.raises(FEMError) as err:
+        F_of_domain(square, hmax=0.2)
+    assert str(err.value) == f"{kind} eigensolve failed: Factor is exactly singular"
+    assert threading.active_count() == threads
+    assert len(thread_starts) == cpus - 1
+    point = diagram._evaluate_sample("named", 0.2, ("named-0000", 0, square))
+    assert point.message == f"FEMError: {kind} eigensolve failed: Factor is exactly singular"
+    assert threading.active_count() == threads
+    # the one factor made when only Neumann's fails is Steklov's, unused
+    factors = {("neumann",): 2 * (cpus - 1), ("steklov",): 2}.get(failing, 0)
+    assert len(superlu_lifetimes) == factors
+    assert all(made == freed for made, freed in superlu_lifetimes)
